@@ -1,6 +1,6 @@
-"""Pure-numpy day-loop kernel: the fallback when the extension isn't built.
+"""Pure-numpy day-loop kernel: the fallback when the C kernel can't be built.
 
-Semantically identical to the compiled kernel in ``_kernels.pyx`` — both
+Semantically identical to the compiled kernel in ``_kernel.c`` — both
 consume the same counter-based random stream, so they agree bit-for-bit on
 the draws and to float roundoff on the trajectories (the reset reduction
 sums in a different order).
@@ -12,10 +12,10 @@ import numpy as np
 
 from .errors import NormalizationDegenerate
 from .model import DEGENERACY_RELATIVE
-from .rng import GOLDEN, MASK64, RUN_SHIFT, T_SHIFT
+from .rng import GOLDEN, MASK64, MIX1, MIX2, RUN_SHIFT, T_SHIFT
 
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_M1 = np.uint64(MIX1)
+_M2 = np.uint64(MIX2)
 _GOLD = np.uint64(GOLDEN)
 _S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 _INV_2_53 = 2.0 ** -53

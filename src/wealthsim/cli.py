@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -231,10 +232,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _located(problem: str, key_lines: Dict[str, int]) -> str:
-    """Prefix a validation message with the line that set the offending key."""
-    for key, ln in key_lines.items():
-        if key in problem:
-            return f"line {ln}: {problem}"
+    """Prefix a validation message with the line of the first key it names."""
+    for word in re.findall(r"\w+", problem):
+        if word in key_lines:
+            return f"line {key_lines[word]}: {problem}"
     return problem
 
 

@@ -13,7 +13,8 @@ the sparse snapshot times, so windowed histograms have to be streamed.
 
 Because every random draw is a pure function of (seed, run, t, agent),
 records are bit-identical however the runs are scheduled: serially, or in a
-thread pool (the kernels drop the GIL for the day loop).
+thread pool. Only the C kernel drops the GIL for the day loop, so threads
+do not speed up the numpy fallback.
 """
 
 from __future__ import annotations

@@ -27,6 +27,8 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, the splitmix64 increment
+MIX1 = 0xBF58476D1CE4E5B9  # the splitmix64 finalizer's two multipliers
+MIX2 = 0x94D049BB133111EB
 
 RUN_SHIFT = 50
 T_SHIFT = 24
@@ -40,8 +42,8 @@ _INV_2_53 = 2.0 ** -53
 def mix64(z: int) -> int:
     """splitmix64 finalizer (pure-Python scalar reference)."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
 
 
@@ -79,7 +81,7 @@ def uniforms_for_day(key: int, run: int, t: int, n_agents: int) -> np.ndarray:
     base = np.uint64(((run << RUN_SHIFT) | (t << T_SHIFT)) & MASK64)
     ctr = base + np.arange(1, n_agents + 1, dtype=np.uint64)
     z = np.uint64(key & MASK64) + ctr * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
     z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53

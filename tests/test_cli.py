@@ -141,6 +141,18 @@ def test_config_validation_failures(extra, needle):
     assert any(needle in m for m in ei.value.problems)
 
 
+@pytest.mark.parametrize("tail, line", [
+    ("n_modes = 0\n", 6),                                   # not 'mode'
+    ("epsilon = -0.01\nepsilon_sweep = -0.5, 1.5\n", 7),    # not 'epsilon'
+])
+def test_violation_cites_the_line_of_the_whole_key(tail, line):
+    head = "n_agents = 60\nbeta = 0.06\nmode = skewed\nt_max = 100\nseed = 1\n"
+    with pytest.raises(ParseError) as ei:
+        cli.parse_config(head + tail)
+    [msg] = ei.value.problems
+    assert msg.startswith(f"line {line}: ")
+
+
 def test_params_hash_covers_physics_only():
     cfg = cli.parse_config(BASE)
     same = cli.parse_config(BASE + ("workers = 4\nout_dir = elsewhere\n"
