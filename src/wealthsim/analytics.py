@@ -25,13 +25,14 @@ numerically maximizing the exact curve).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-_SQRT_PI = math.sqrt(math.pi)
+_NORMAL = statistics.NormalDist()
 
 
 def drift_velocity(beta: float) -> float:
@@ -54,9 +55,8 @@ def sigma_t(beta: float, t: float) -> float:
 def inv_erfc(y: float) -> float:
     """Inverse of erfc on (0, 2), accurate to |erfc(x) - y| <= 1e-12.
 
-    Bracketing bisection down to an interval of 1e-3 followed by Newton
-    refinement (d/dx erfc = -2/sqrt(pi) * exp(-x^2)). Unconditionally
-    convergent; no dependency beyond math.erfc.
+    erfc(x) = 2 Phi(-x sqrt(2)) for the standard normal CDF Phi, so x is the
+    normal quantile of y/2 scaled by -1/sqrt(2).
     """
     if not 0.0 < y < 2.0 or math.isnan(y):
         raise DomainError(f"inv_erfc argument must lie in (0, 2), got {y!r}")
@@ -64,40 +64,9 @@ def inv_erfc(y: float) -> float:
         return 0.0
     if y > 1.0:
         return -inv_erfc(2.0 - y)  # erfc(-x) = 2 - erfc(x)
-
-    lo, hi = 0.0, 10.0
-    while math.erfc(hi) > y:  # widen for extremely small y
-        lo, hi = hi, hi * 2.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        err = math.erfc(x) - y
-        if abs(err) <= 1e-13:
-            break
-        if x * x > 650.0:
-            # exp(x^2) would overflow; fall back to pure bisection
-            if err > 0.0:
-                lo = x
-            else:
-                hi = x
-            x = 0.5 * (lo + hi)
-            continue
-        step = err * (_SQRT_PI / 2.0) * math.exp(x * x)
-        x_new = x + step
-        if not lo <= x_new <= hi:  # keep Newton inside the bracket
-            x_new = 0.5 * (lo + hi)
-        if err > 0.0:
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        x = x_new
-    return x
+    # the smallest subnormal y halves to 0, which inv_cdf rejects
+    p = max(y / 2.0, math.ulp(0.0))
+    return -_NORMAL.inv_cdf(p) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ analytic    export closed-form quantile envelope curves and a scalar report
 stationary  solve the stationary eigenproblem over an epsilon sweep
 correlate   run the ensemble and export flux matrices plus the divide report
 
-Config files are UTF-8 ``key = value`` lines; '#' starts a comment anywhere
-on a line. Unknown keys, duplicate keys, type mismatches and invariant
-violations are all collected and reported together, with line numbers.
+Config files are UTF-8 ``key = value`` lines whose keys are the fields of
+ExperimentConfig; '#' starts a comment anywhere on a line. Unknown keys,
+duplicate keys, type mismatches and invariant violations are all collected
+and reported together, with line numbers.
 
 Exit codes: 0 success, 2 config error, 3 runtime (simulation/solver) error,
 4 I/O error.
@@ -25,6 +26,7 @@ import math
 import os
 import re
 import sys
+import typing
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +46,11 @@ DEFAULT_EPSILON_SWEEP = (-0.001, -0.005, -0.015, -0.03)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a subcommand needs, as parsed from one config file."""
+    """Everything a subcommand needs, as parsed from one config file.
+
+    The fields are the config schema: each one is a key, parsed by its
+    annotation, and the keys without a default are required.
+    """
 
     # model
     n_agents: int
@@ -52,10 +58,10 @@ class ExperimentConfig:
     mode: str
     t_max: int
     seed: int
-    epsilon: float = 0.0
-    w1: float = 1000.0
-    wp: float = 400.0
-    n_runs: int = 1
+    epsilon: float = ModelParams.epsilon
+    w1: float = ModelParams.w1
+    wp: float = ModelParams.wp
+    n_runs: int = ModelParams.n_runs
     # recording schedule
     series_stride: int = 30
     snapshot_count: int = 75
@@ -77,9 +83,8 @@ class ExperimentConfig:
     compare_histogram: str = ""
 
     def model_params(self) -> ModelParams:
-        return ModelParams(n_agents=self.n_agents, beta=self.beta, mode=self.mode,
-                           t_max=self.t_max, seed=self.seed, epsilon=self.epsilon,
-                           w1=self.w1, wp=self.wp, n_runs=self.n_runs)
+        return ModelParams(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(ModelParams)})
 
     def histogram_edges(self) -> np.ndarray:
         """Excess-wealth bin edges: 16 decades around the initial excess."""
@@ -100,9 +105,11 @@ class ExperimentConfig:
                                        histogram_windows=windows)
 
     def to_text(self) -> str:
-        """Lossless file representation (parse_config inverts it)."""
-        lines = [f"{name} = {_format_key(self, name)}" for name in _KEY_ORDER]
-        return "\n".join(lines) + "\n"
+        """Lossless file representation (parse_config inverts it).
+
+        Raises ValueError for a string value that parsing would change.
+        """
+        return "".join(f"{name} = {_format(self, name)}\n" for name in _CODECS)
 
     def params_hash(self) -> str:
         """12-hex digest over the keys that determine computed numbers.
@@ -110,75 +117,60 @@ class ExperimentConfig:
         Execution plumbing (workers, out_dir, export toggles, comparison
         file) is excluded, so reruns of the same physics hash identically.
         """
-        text = "\n".join(f"{name}={_format_key(self, name)}" for name in _HASHED_KEYS)
+        text = "\n".join(f"{name}={_format(self, name)}"
+                         for name in _CODECS if name not in _UNHASHED_KEYS)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-# key name -> (type tag, required)
-_KEY_SPECS: Dict[str, Tuple[str, bool]] = {
-    "n_agents": ("int", True),
-    "beta": ("float", True),
-    "mode": ("str", True),
-    "t_max": ("int", True),
-    "seed": ("int", True),
-    "epsilon": ("float", False),
-    "w1": ("float", False),
-    "wp": ("float", False),
-    "n_runs": ("int", False),
-    "series_stride": ("int", False),
-    "snapshot_count": ("int", False),
-    "hist_bins_per_decade": ("int", False),
-    "window_start": ("int", False),
-    "window_end": ("int", False),
-    "workers": ("int", False),
-    "out_dir": ("str", False),
-    "export_snapshots": ("bool", False),
-    "export_histograms": ("bool", False),
-    "export_flux": ("bool", False),
-    "k_list": ("float_list", False),
-    "epsilon_sweep": ("float_list", False),
-    "grid_points": ("int", False),
-    "n_modes": ("int", False),
-    "compare_histogram": ("str", False),
-}
-_KEY_ORDER = list(_KEY_SPECS)
-_HASHED_KEYS = [k for k in _KEY_ORDER
-                if k not in ("workers", "out_dir", "export_snapshots",
-                             "export_histograms", "export_flux",
-                             "compare_histogram")]
+_UNHASHED_KEYS = ("workers", "out_dir", "export_snapshots", "export_histograms",
+                  "export_flux", "compare_histogram")
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 
-def _format_key(cfg: ExperimentConfig, name: str) -> str:
-    kind = _KEY_SPECS[name][0]
-    value = getattr(cfg, name)
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float_list":
-        return ", ".join(tableio.format_value(float(v)) for v in value)
-    if kind == "float":
-        return tableio.format_value(float(value))
-    return str(value)
+def _parse_bool(raw: str) -> bool:
+    word = raw.lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"not a boolean: {raw!r} (use true/false)")
+    return _BOOL_WORDS[word]
 
 
-def _parse_value(kind: str, raw: str):
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        word = raw.lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"not a boolean: {raw!r} (use true/false)")
-        return _BOOL_WORDS[word]
-    if kind == "float_list":
-        items = [p.strip() for p in raw.split(",") if p.strip()]
-        if not items:
-            raise ValueError("empty list")
-        return tuple(float(p) for p in items)
-    return raw
+def _parse_floats(raw: str) -> Tuple[float, ...]:
+    items = [p.strip() for p in raw.split(",") if p.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return tuple(float(p) for p in items)
+
+
+def _format_str(value: str) -> str:
+    if "#" in value or "\n" in value or value != value.strip():
+        raise ValueError(f"{value!r} cannot be written as a config value: '#', "
+                         "newlines and surrounding whitespace are lost on parsing")
+    return value
+
+
+def _format_float(value: float) -> str:
+    return tableio.format_value(float(value))
+
+
+# field annotation -> (parse, format)
+_CODECS_BY_TYPE = {
+    int: (int, str),
+    float: (float, _format_float),
+    str: (str, _format_str),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    Tuple[float, ...]: (_parse_floats, lambda v: ", ".join(map(_format_float, v))),
+}
+# key -> (parse, format), in field order; an unsupported annotation fails here
+_CODECS = {name: _CODECS_BY_TYPE[hint]
+           for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+_REQUIRED = [f.name for f in dataclasses.fields(ExperimentConfig)
+             if f.default is dataclasses.MISSING]
+
+
+def _format(cfg: ExperimentConfig, name: str) -> str:
+    return _CODECS[name][1](getattr(cfg, name))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -202,7 +194,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if not sep or not key:
             problems.append(f"line {ln}: expected 'key = value', got {raw.strip()!r}")
             continue
-        if key not in _KEY_SPECS:
+        if key not in _CODECS:
             problems.append(f"line {ln}: unknown key {key!r}")
             continue
         if key in seen:
@@ -211,14 +203,13 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         seen.add(key)
         key_lines[key] = ln
-        kind = _KEY_SPECS[key][0]
         try:
-            values[key] = _parse_value(kind, value)
+            values[key] = _CODECS[key][0](value)
         except ValueError as exc:
             problems.append(f"line {ln}: {key}: {exc}")
 
-    for key, (kind, required) in _KEY_SPECS.items():
-        if required and key not in seen:
+    for key in _REQUIRED:
+        if key not in seen:
             problems.append(f"missing required key {key!r}")
 
     cfg: Optional[ExperimentConfig] = None
@@ -494,9 +485,9 @@ def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
     hist = read_histogram(cfg.compare_histogram) if cfg.compare_histogram else None
     grid = stationary.default_grid(cfg.w1, cfg.wp, m=cfg.grid_points)
 
-    report: Dict[str, List[float]] = {name: [] for name in (
-        "epsilon", "mode_index", "eigenvalue", "iterations", "residual",
-        "peak_x", "std_x", "boundary_piled", "tv")}
+    header = ["epsilon", "mode_index", "eigenvalue", "iterations", "residual",
+              "peak_x", "std_x", "boundary_piled", "tv"]
+    rows: List[List[float]] = []
     for eps in cfg.epsilon_sweep:
         op = stationary.build_operator(grid, cfg.beta, eps, cfg.w1, cfg.wp)
         try:
@@ -510,25 +501,19 @@ def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
                      ["x", "mass"], [grid.x, mode],
                      "x=ln(excess currency), mass=probability per cell",
                      epsilon=tableio.format_value(eps), mode_index=str(idx))
-            leading = idx == 1
-            sol = stationary.StationarySolution(
-                grid=grid, operator=op, eigenvalue=float(lam), mode=mode,
-                iterations=its, residual=float(np.abs(op.apply(mode) - lam * mode).sum()),
-            ) if leading else None
-            report["epsilon"].append(eps)
-            report["mode_index"].append(float(idx))
-            report["eigenvalue"].append(float(lam))
-            report["iterations"].append(float(its))
-            report["residual"].append(sol.residual if leading else float("nan"))
-            report["peak_x"].append(sol.peak_x if leading else float("nan"))
-            report["std_x"].append(sol.std_x if leading else float("nan"))
-            report["boundary_piled"].append(
-                float(sol.boundary_piled) if leading else float("nan"))
-            report["tv"].append(
-                stationary.compare_to_simulation(sol, hist)
-                if leading and hist is not None else float("nan"))
-    ex.table("stationary_report.csv", "series", list(report),
-             [np.array(v, dtype=np.float64) for v in report.values()],
+            # diagnostics are for the leading mode only
+            diagnostics = [math.nan] * 5
+            if idx == 1:
+                sol = stationary.StationarySolution(
+                    grid=grid, operator=op, eigenvalue=float(lam), mode=mode,
+                    iterations=its, residual=op.residual(lam, mode))
+                tv = (stationary.compare_to_simulation(sol, hist)
+                      if hist is not None else math.nan)
+                diagnostics = [sol.residual, sol.peak_x, sol.std_x,
+                               float(sol.boundary_piled), tv]
+            rows.append([eps, idx, lam, its] + diagnostics)
+    ex.table("stationary_report.csv", "series", header,
+             list(np.array(rows, dtype=np.float64).T),
              "epsilon=skew, eigenvalue=per day, iterations=count, "
              "peak_x/std_x=ln(excess currency), boundary_piled=0/1, tv=[0,1]")
     ex.manifest()
@@ -568,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"wealthsim: cannot read config: {exc}", file=sys.stderr)

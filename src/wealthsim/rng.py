@@ -37,6 +37,8 @@ MAX_DAYS = 1 << (RUN_SHIFT - T_SHIFT)
 MAX_AGENTS = 1 << T_SHIFT
 
 _INV_2_53 = 2.0 ** -53
+_GOLD, _M1, _M2 = (np.uint64(c) for c in (GOLDEN, MIX1, MIX2))
+_S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
 
 def mix64(z: int) -> int:
@@ -72,16 +74,21 @@ def uniform_at(key: int, run: int, t: int, agent: int) -> float:
 
 
 def uniforms_for_day(key: int, run: int, t: int, n_agents: int) -> np.ndarray:
-    """All n_agents deviates for one (run, t), vectorized.
+    """All n_agents deviates for one (run, t), vectorized."""
+    _check_coords(run, t, n_agents)
+    return day_uniforms(key, run, t, np.arange(1, n_agents + 1, dtype=np.uint64))
 
+
+def day_uniforms(key: int, run: int, t: int, idx: np.ndarray) -> np.ndarray:
+    """Deviates of agents ``idx - 1`` (uint64, 1-based) for one (run, t).
+
+    Unchecked: callers keep (run, t, agent) within the counter bounds.
     uint64 arithmetic wraps silently in numpy, which is exactly the mod-2**64
     behaviour the scalar path gets from masking.
     """
-    _check_coords(run, t, n_agents)
     base = np.uint64(((run << RUN_SHIFT) | (t << T_SHIFT)) & MASK64)
-    ctr = base + np.arange(1, n_agents + 1, dtype=np.uint64)
-    z = np.uint64(key & MASK64) + ctr * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    z = np.uint64(key & MASK64) + (base + idx) * _GOLD
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    z ^= z >> _S31
+    return (z >> _S11) * _INV_2_53

@@ -116,6 +116,10 @@ class BandOperator:
                 out[: m + o] += self.weights[-o:, k] * v[-o:]
         return out
 
+    def residual(self, lam: float, v: np.ndarray) -> float:
+        """L1 norm of apply(v) - lam*v: how far (lam, v) is from an eigenpair."""
+        return float(np.abs(self.apply(v) - lam * v).sum())
+
     def source_sums(self) -> np.ndarray:
         """Outgoing mass per source cell (exactly 1 away from the corners)."""
         return self.weights.sum(axis=1)
@@ -205,8 +209,8 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     Converged when the eigenvalue estimate moves < ``value_tol`` AND the
     normalized vector moves < ``vector_tol`` in L1 between iterations.
     Returned modes are normalized to unit sum; eigenvalues come out in
-    descending order. Raises NotConverged (with the last residual) if an
-    iteration hits ``max_iter``.
+    descending order. Raises NotConverged (with the last iterate's
+    ``op.residual``) if an iteration hits ``max_iter``.
     """
     m = op.grid.m
     found_vals: List[float] = []
@@ -244,8 +248,7 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
                 break
             lam_prev = lam
         if not converged:
-            residual = float(np.abs(deflated_apply(v) - lam * v).sum())
-            raise NotConverged(max_iter, residual)
+            raise NotConverged(max_iter, op.residual(lam, v))
         total = v.sum()
         if abs(total) > 1e-9:
             v = v / total
@@ -312,10 +315,9 @@ def solve_stationary(beta: float, epsilon: float, *, w1: float = 1000.0,
         grid = default_grid(w1, wp, m=m)
     op = build_operator(grid, beta, epsilon, w1, wp)
     values, modes, iters = leading_eigenpair(op, 1, max_iter=max_iter)
-    mode = modes[0]
-    residual = float(np.abs(op.apply(mode) - values[0] * mode).sum())
     return StationarySolution(grid=grid, operator=op, eigenvalue=float(values[0]),
-                              mode=mode, iterations=iters[0], residual=residual)
+                              mode=modes[0], iterations=iters[0],
+                              residual=op.residual(values[0], modes[0]))
 
 
 # ---------------------------------------------------------------------------

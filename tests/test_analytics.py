@@ -1,12 +1,13 @@
 """Closed-form envelope analytics against independent oracles.
 
-Oracles: scipy.special for erfc inversion cross-checks, numpy quadrature
+Oracles: scipy.special and mpmath for erfc inversion cross-checks, numpy quadrature
 for the drift and density normalization, direct numerical maximization for
 the peak formulas. Frozen constants were computed with 30-digit arithmetic.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -91,6 +92,17 @@ def test_inv_erfc_against_scipy():
         assert abs(x - float(sps.erfcinv(y))) <= 1e-12 / slope + 1e-11
 
 
+@pytest.mark.parametrize("y", [1e-9, 1e-6, 0.01 / 3600])
+def test_inv_erfc_against_mpmath_root(y):
+    # relative accuracy in x, which the residual contract alone does not
+    # give where erfc is flat; the last y is the analytic subcommand's
+    # k = 0.01 at N = 3600
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda x: mpmath.erfc(x) - mpmath.mpf(y),
+                               float(sps.erfcinv(y)))
+        assert inv_erfc(y) == pytest.approx(float(root), rel=1e-14, abs=0)
+
+
 def test_inv_erfc_symmetry():
     # dyadic y so that 2 - y is exact in binary
     for y in (0.25, 0.5, 1.25, 1.75, 1.984375):
@@ -101,6 +113,8 @@ def test_inv_erfc_extreme_small_argument():
     # far tail: bracket widening + overflow-safe bisection path
     x = inv_erfc(1e-300)
     assert math.erfc(x) == pytest.approx(1e-300, rel=1e-6)
+    # the smallest subnormal: y/2 underflows to 0
+    assert inv_erfc(5e-324) == pytest.approx(27.2, abs=0.05)
 
 
 @pytest.mark.parametrize("bad", [0.0, 2.0, -0.5, 2.5, float("nan")])

@@ -1,5 +1,6 @@
 """Config parsing, subcommand exports, exit codes, manifest discipline."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from wealthsim import analytics, cli, engine, stats
 from wealthsim.errors import ParseError
+from wealthsim.params import ModelParams
 from wealthsim.tableio import read_table
 
 BASE = """
@@ -167,6 +169,58 @@ def test_params_hash_covers_physics_only():
     assert len(cfg.params_hash()) == 12
 
 
+# the schema is ExperimentConfig's fields: every one must parse, format,
+# hash and reach the model without further plumbing
+SKEWED = cli.parse_config(BASE.replace("mode = reset", "mode = skewed"))
+FIELDS = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+EXECUTION_KEYS = {"workers", "out_dir", "export_snapshots", "export_histograms",
+                  "export_flux", "compare_histogram"}
+
+
+def changed(cfg, name):
+    """``cfg`` with field ``name`` set to another valid value."""
+    value = getattr(cfg, name)
+    if name == "mode":
+        new = "reset"
+    elif isinstance(value, bool):
+        new = not value
+    elif isinstance(value, int):
+        new = value + 1
+    elif isinstance(value, float):
+        new = value * 1.1 + 0.1
+    elif isinstance(value, str):
+        new = value + "x"
+    else:
+        new = value + (0.5,)
+    return dataclasses.replace(cfg, **{name: new})
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_field_round_trips(name):
+    cfg = changed(SKEWED, name)
+    assert cfg != SKEWED
+    assert cli.parse_config(cfg.to_text()) == cfg
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_params_hash_covers_every_field_but_execution_keys(name):
+    moved = changed(SKEWED, name).params_hash() != SKEWED.params_hash()
+    assert moved == (name not in EXECUTION_KEYS)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelParams)])
+def test_model_params_carries_every_model_field(name):
+    assert getattr(changed(SKEWED, name).model_params(), name) \
+        != getattr(SKEWED.model_params(), name)
+
+
+@pytest.mark.parametrize("value", ["runs/#3", "runs\n3", " runs", "runs\t"])
+def test_to_text_refuses_a_string_parsing_would_change(value):
+    cfg = dataclasses.replace(SKEWED, out_dir=value)
+    with pytest.raises(ValueError):
+        cfg.to_text()
+
+
 # --- exit codes -------------------------------------------------------------
 
 
@@ -174,6 +228,13 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 4
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_config_with_byte_order_mark_is_read(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text(BASE.lstrip() + "k_list = 0.25, 1\n", encoding="utf-8-sig")
+    assert cli.main(["analytic", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -26,7 +26,7 @@ def small_solution(small_grid):
     sol = st.StationarySolution(
         grid=small_grid, operator=op, eigenvalue=float(values[0]),
         mode=modes[0], iterations=iters[0],
-        residual=float(np.abs(op.apply(modes[0]) - values[0] * modes[0]).sum()),
+        residual=op.residual(values[0], modes[0]),
     )
     return sol
 
