@@ -82,6 +82,11 @@ class ExperimentConfig:
     n_modes: int = 1
     compare_histogram: str = ""
 
+    def __post_init__(self):
+        # ModelParams reads mode case-blind; keep the one spelling it means
+        # so to_text, params_hash and the manifests do not depend on case
+        object.__setattr__(self, "mode", self.mode.lower())
+
     def model_params(self) -> ModelParams:
         return ModelParams(**{f.name: getattr(self, f.name)
                               for f in dataclasses.fields(ModelParams)})

@@ -19,6 +19,7 @@ do not speed up the numpy fallback.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -112,8 +113,9 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
         workers: int = 1) -> List[TrajectoryRecord]:
     """Execute ``params.n_runs`` independent runs and record each.
 
-    ``workers > 1`` dispatches whole runs to a thread pool; the results are
-    identical to the serial ones by construction.
+    ``workers > 1`` dispatches whole runs to a thread pool of at most
+    ``min(workers, n_runs, cpu count)`` threads; the results are identical
+    to the serial ones by construction.
     """
     if schedule is None:
         schedule = default_schedule(params.t_max)
@@ -127,8 +129,9 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
             raise ParameterError("rank_ids must lie in 1..n_agents")
 
     run_ids = range(params.n_runs)
-    if workers > 1 and params.n_runs > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, params.n_runs, os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda r: _run_single(params, schedule, rank_ids, r), run_ids))
     return [_run_single(params, schedule, rank_ids, r) for r in run_ids]
 

@@ -52,6 +52,10 @@ LN10 = math.log(10.0)
 #: minimum number of grid cells the multiplier band must span
 MIN_BAND_CELLS = 10
 
+#: shift of the inverse iteration in ``leading_eigenpair``, just above the
+#: largest possible eigenvalue (1, as no column of the band sums past it)
+SHIFT = 1.0 + 1e-6
+
 
 @dataclass(frozen=True)
 class LogGrid:
@@ -201,10 +205,78 @@ def build_operator(grid: LogGrid, beta: float, epsilon: float,
                         offsets=all_offsets, weights=weights, shifts=shifts)
 
 
+def _block_factor(op: BandOperator) -> np.ndarray:
+    """Block LU factors of ``SHIFT*I - A`` for the band matrix A of ``op``.
+
+    With block size b = max |offset| every band entry lies in a diagonal,
+    sub- or super-diagonal b x b block, so the shifted matrix is exactly
+    block-tridiagonal (the last block is padded with SHIFT on the diagonal).
+    Returns a (3, nb, b, b) array holding, per block row i, the
+    sub-diagonal block L_i, inv(S_i) for the Schur complement
+    S_i = D_i - L_i X_(i-1), and X_i = inv(S_i) U_i, overwritten in place.
+    """
+    m = op.grid.m
+    b = int(np.abs(op.offsets).max())
+    nb = -(-m // b)
+    blocks = np.zeros((3, nb, b, b))
+    p = np.arange(b)  # row within a block
+    for k, off in enumerate(op.offsets):
+        # band[d] = -A[d, d - off]; row p of block row I meets column d - off
+        # in block column I + (p - off) // b, at position (p - off) % b
+        band = np.zeros(nb * b)
+        band[max(off, 0): m + min(off, 0)] = -op.weights[max(-off, 0): m - max(off, 0), k]
+        blocks[1 + (p - off) // b, :, p, (p - off) % b] = band.reshape(nb, b).T
+    blocks[1, :, p, p] += SHIFT
+    lower, diag, upper = blocks
+    for i in range(nb):
+        if i:
+            diag[i] -= lower[i] @ upper[i - 1]
+        diag[i] = np.linalg.inv(diag[i])
+        upper[i] = diag[i] @ upper[i]
+    return blocks
+
+
+def _block_solve(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve ``(SHIFT*I - A) x = r`` with the factors from ``_block_factor``."""
+    lower, inv_s, x_blocks = blocks
+    nb, b = inv_s.shape[:2]
+    y = np.zeros(nb * b)
+    y[: r.size] = r
+    y = y.reshape(nb, b)
+    y[0] = inv_s[0] @ y[0]
+    for i in range(1, nb):
+        y[i] = inv_s[i] @ (y[i] - lower[i] @ y[i - 1])
+    for i in range(nb - 2, -1, -1):
+        y[i] -= x_blocks[i] @ y[i + 1]
+    return y.ravel()[: r.size]
+
+
 def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
                       value_tol: float = 1e-10, vector_tol: float = 1e-8,
                       max_iter: int = 400000) -> Tuple[np.ndarray, List[np.ndarray], List[int]]:
-    """Dominant eigenpairs by power iteration (Wielandt deflation past the first).
+    """Dominant eigenpairs by shift-invert (inverse) iteration.
+
+    Each step solves ``(SHIFT*I - A) x = v`` (Golub & Van Loan, *Matrix
+    Computations*, sec. 7.6), which converges to the eigenvalue nearest
+    SHIFT = 1 + 1e-6 at the rate |SHIFT - lam_1| / |SHIFT - lam_2| per step.
+    For the first mode that is the real leading one, as no eigenvalue has
+    modulus above 1 (the largest column sum). The shifted matrix is
+    factored once by block-tridiagonal (block Thomas) elimination with
+    block size b = max |offset| taken from the band. No pivoting is needed:
+    A >= 0 and its columns sum to at most 1 (``source_sums``), so for
+    SHIFT > 1 the shifted matrix is strictly column diagonally dominant,
+    which keeps block elimination stable and every Schur complement
+    invertible.
+
+    Modes past the first come from Wielandt deflation: each mode found,
+    lam_d v_d, is removed as A - lam_d v_d u_d^T with u_d^T v_d = 1. The
+    leading mode uses u = 1 (its unit mass; 1 is its left eigenvector up to
+    boundary leakage, so the later modes barely change). Later modes carry
+    no net mass, so they use u_d = v_d / (v_d . v_d). The shifted inverse of
+    each rank-one update is applied by Sherman-Morrison, one extra solve per
+    mode and no second factorization. The eigenvalue is read from
+    ``op.apply``: the total mass after one day for the leading mode, the
+    ratio at the peak cell past it.
 
     Converged when the eigenvalue estimate moves < ``value_tol`` AND the
     normalized vector moves < ``vector_tol`` in L1 between iterations.
@@ -213,15 +285,18 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     ``op.residual``) if an iteration hits ``max_iter``.
     """
     m = op.grid.m
+    blocks = _block_factor(op)
     found_vals: List[float] = []
     found_modes: List[np.ndarray] = []
     iterations: List[int] = []
+    # deflation terms lam_d v_d u_d^T, each with z_d for its Sherman-Morrison step
+    deflations: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def deflated_apply(vec: np.ndarray) -> np.ndarray:
-        out = op.apply(vec)
-        for lam_d, v_d in zip(found_vals, found_modes):
-            out = out - lam_d * v_d * vec.sum()  # Wielandt: T - lam_d v_d 1^T
-        return out
+    def shifted_solve(r: np.ndarray) -> np.ndarray:
+        x = _block_solve(blocks, r)
+        for _, u, z in deflations:
+            x -= z * (u @ x)
+        return x
 
     for mode_idx in range(n_modes):
         v = np.full(m, 1.0 / m)
@@ -229,18 +304,21 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
         lam = math.inf
         converged = False
         for it in range(1, max_iter + 1):
-            w = deflated_apply(v)
-            if mode_idx == 0:
-                lam = w.sum()  # nonnegative iterate: total mass after one day
-            else:
-                peak = int(np.argmax(np.abs(v)))
-                lam = w[peak] / v[peak]
+            w = shifted_solve(v)
             norm = np.abs(w).sum()
             if norm == 0.0:
                 raise NotConverged(it, float("nan"))
             w = w / norm
             if w[int(np.argmax(np.abs(w)))] < 0:
                 w = -w
+            aw = op.apply(w)
+            if mode_idx == 0:
+                lam = aw.sum()  # nonnegative iterate: total mass after one day
+            else:
+                for lv, u, _ in deflations:
+                    aw -= lv * (u @ w)
+                peak = int(np.argmax(np.abs(w)))
+                lam = aw[peak] / w[peak]
             dv = np.abs(w - v).sum()
             v = w
             if abs(lam - lam_prev) < value_tol and dv < vector_tol:
@@ -255,6 +333,10 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
         found_vals.append(float(lam))
         found_modes.append(v)
         iterations.append(it)
+        if mode_idx + 1 < n_modes:
+            u = np.ones(m) if mode_idx == 0 else v / (v @ v)
+            z = shifted_solve(lam * v)
+            deflations.append((lam * v, u, z / (1.0 + u @ z)))
 
     order = np.argsort(found_vals)[::-1]
     values = np.array([found_vals[i] for i in order])

@@ -126,7 +126,7 @@ def test_criterion_09_stationary_spectrum():
     widths = []
     for eps in (-0.005, -0.015, -0.03):
         sol = solve_stationary(BETA, eps)
-        # the power iteration stops on |dlambda| < 1e-10, so "at most 1"
+        # the eigensolver stops on |dlambda| < 1e-10, so "at most 1"
         # carries that much slack
         assert 0.999 <= sol.eigenvalue <= 1.0 + 1e-8
         assert sol.iterations < 100000

@@ -169,6 +169,15 @@ def test_params_hash_covers_physics_only():
     assert len(cfg.params_hash()) == 12
 
 
+def test_mode_spelling_does_not_change_the_hash():
+    lower = cli.parse_config(BASE)
+    upper = cli.parse_config(BASE.replace("mode = reset", "mode = Reset"))
+    assert upper.mode == "reset"
+    assert upper == lower
+    assert upper.params_hash() == lower.params_hash()
+    assert upper.to_text() == lower.to_text()
+
+
 # the schema is ExperimentConfig's fields: every one must parse, format,
 # hash and reach the model without further plumbing
 SKEWED = cli.parse_config(BASE.replace("mode = reset", "mode = skewed"))
@@ -452,6 +461,19 @@ def test_stationary_compare_histogram(tmp_path, sim_dir):
     _, _, cols = read_table(out / "stationary_report.csv")
     tv = cols["tv"][0]
     assert 0.0 <= tv <= 1.0 and not np.isnan(tv)
+
+
+def test_stationary_solve_does_not_import_scipy(tmp_path):
+    # scipy is a test-only extra: importing scipy.linalg would add ~20 MB
+    # of peak RSS to every stationary run
+    path = write_cfg(tmp_path, BASE + "epsilon_sweep = -0.03\ngrid_points = 2400\n")
+    code = ("import sys, wealthsim.cli\n"
+            f"assert wealthsim.cli.main(['stationary', '--config', {path!r}, "
+            f"'--out', {str(tmp_path / 'st')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # --- console entry point ----------------------------------------------------

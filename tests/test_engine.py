@@ -9,6 +9,7 @@ from wealthsim import (
     RecordingSchedule,
     backends,
     default_schedule,
+    engine,
     max_log_excess,
     run,
 )
@@ -37,6 +38,28 @@ def test_parallel_matches_serial_exactly():
         assert len(a.sorted_snapshots) == len(b.sorted_snapshots)
         for s, t in zip(a.sorted_snapshots, b.sorted_snapshots):
             np.testing.assert_array_equal(s, t)
+
+
+def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
+    params = small_params()
+    sched = default_schedule(600, n_snapshots=12)
+    serial = run(params, sched, workers=1)
+    pools = []
+
+    class RecordingPool(engine.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+    wide = run(params, sched, workers=64)
+    assert pools == [2]
+    for a, b in zip(serial, wide):
+        for field in ("mean_series", "max_series", "gini_series", "rank_series"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert [s.tobytes() for s in a.sorted_snapshots] \
+            == [s.tobytes() for s in b.sorted_snapshots]
 
 
 def test_runs_are_distinct_streams():

@@ -155,6 +155,35 @@ def test_leading_mode_matches_dense_eigensolve(small_grid, small_solution):
     assert np.abs(v1 - small_solution.mode).sum() < 1e-4
 
 
+def test_leading_eigenvalue_matches_dense_to_roundoff(small_grid, small_solution):
+    lam1 = np.linalg.eigvals(small_solution.operator.to_dense()).real.max()
+    assert abs(small_solution.eigenvalue - lam1) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.03])
+def test_block_factor_solves_the_shifted_system(eps):
+    # 601 cells: not a multiple of the block size, so the last block is padded
+    grid = st.default_grid(m=601, decades=2.0, decades_below=1.0)
+    op = st.build_operator(grid, 0.06, eps)
+    b = int(np.abs(op.offsets).max())
+    assert grid.m % b != 0
+    blocks = st._block_factor(op)
+    assert blocks.shape == (3, -(-grid.m // b), b, b)
+    r = np.random.default_rng(7).random(grid.m)
+    want = np.linalg.solve(st.SHIFT * np.eye(grid.m) - op.to_dense(), r)
+    np.testing.assert_allclose(st._block_solve(blocks, r), want,
+                               rtol=0, atol=1e-10 * np.abs(want).max())
+
+
+def test_three_modes_are_the_three_largest_real_eigenvalues(small_grid):
+    op = st.build_operator(small_grid, 0.06, -0.03)
+    values, modes, iters = st.leading_eigenpair(op, n_modes=3)
+    ev = np.linalg.eigvals(op.to_dense())
+    real = np.sort(ev.real[np.abs(ev.imag) < 1e-12])[::-1]
+    np.testing.assert_allclose(values, real[:3], rtol=1e-9, atol=0)
+    assert len(modes) == 3 and len(iters) == 3
+
+
 def test_second_mode_via_deflation(small_grid):
     op = st.build_operator(small_grid, 0.06, -0.03)
     values, modes, iters = st.leading_eigenpair(op, n_modes=2)
@@ -179,8 +208,8 @@ def test_mode_is_normalized_and_nonnegative(small_solution):
 def test_not_converged_carries_residual(small_grid):
     op = st.build_operator(small_grid, 0.06, -0.03)
     with pytest.raises(NotConverged) as ei:
-        st.leading_eigenpair(op, 1, max_iter=5)
-    assert ei.value.iterations == 5
+        st.leading_eigenpair(op, 1, max_iter=1)
+    assert ei.value.iterations == 1
     assert ei.value.residual > 0
 
 
