@@ -280,8 +280,10 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
 
     Converged when the eigenvalue estimate moves < ``value_tol`` AND the
     normalized vector moves < ``vector_tol`` in L1 between iterations.
-    Returned modes are normalized to unit sum; eigenvalues come out in
-    descending order. Raises NotConverged (with the last iterate's
+    The leading mode is returned with unit sum, its total mass. Modes past
+    the first carry almost no net mass, so they keep the form the iteration
+    gives them: unit L1 norm, largest-magnitude entry positive. Eigenvalues
+    come out in descending order. Raises NotConverged (with the last iterate's
     ``op.residual``) if an iteration hits ``max_iter``.
     """
     m = op.grid.m
@@ -327,9 +329,8 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
             lam_prev = lam
         if not converged:
             raise NotConverged(max_iter, op.residual(lam, v))
-        total = v.sum()
-        if abs(total) > 1e-9:
-            v = v / total
+        if mode_idx == 0:
+            v = v / v.sum()  # unit mass: the deflation term lam v 1^T needs 1^T v = 1
         found_vals.append(float(lam))
         found_modes.append(v)
         iterations.append(it)

@@ -13,6 +13,16 @@ Metadata lines come before the header, one ``# key: value`` each. Floats are
 serialized with 17 significant digits so that reading a file back reproduces
 the written float64 values bit-for-bit; integer-valued columns are written
 and read as integers (seeds are 64-bit, wider than a float64 mantissa).
+
+``format_value`` is the one definition of a cell. ``write_table`` reaches
+the same bytes a row at a time: one ``%`` template per table, built from
+the column dtypes (``%d`` for integers, ``%.17g`` for floats, ``%s`` for
+strings), is applied to each row of Python scalars. Only rows holding a
+float that ``%.17g`` prints as a bare integer (``-0``, ``1000``), found by
+a vectorized mask, are redone cell by cell with ``format_value``, as are
+columns of any other dtype. Rows are formatted and written in blocks of
+about ``BLOCK_CELLS`` cells, so the Python objects and text held in memory
+stay small however long or wide the table is.
 """
 
 from __future__ import annotations
@@ -26,13 +36,17 @@ from .errors import ParseError
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
+# Cells formatted and written at a time, in blocks of whole rows
+# (BLOCK_CELLS // columns); bounds the Python objects and text held in memory.
+BLOCK_CELLS = 16384
+
 
 def format_value(v) -> str:
     """One cell: integers verbatim, floats at 17 significant digits.
 
     Integral floats get a trailing '.0' so a column's int/float nature
-    survives the round trip. Strings pass through (they must not contain
-    commas or newlines).
+    survives the round trip. Strings pass through (``write_table`` refuses
+    those holding a comma or newline).
     """
     if isinstance(v, str):
         return v
@@ -44,9 +58,52 @@ def format_value(v) -> str:
     return s
 
 
+def _conversion(dtype: np.dtype) -> str:
+    """The template conversion of a column; '' for one formatted per cell."""
+    if dtype.kind in "iu":
+        return "%d"
+    if dtype.kind == "f" and dtype.itemsize <= 8:
+        return "%.17g"
+    if dtype.kind == "U":
+        return "%s"
+    return ""
+
+
+def _bare_integers(c: np.ndarray) -> np.ndarray:
+    """Cells that %.17g prints without '.', exponent, nan or inf: finite
+    integral values below 1e17 (17 digits), -0.0 included."""
+    x = c.astype(np.float64, copy=False)
+    return (np.trunc(x) == x) & (np.abs(x) < 1e17)
+
+
+def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
+                    metadata: Dict[str, str]) -> None:
+    """Refuse what read_table could not read back: a comma or newline in a
+    header name or string cell, a newline in a metadata key or value."""
+    for name in header:
+        if any(ch in name for ch in ",\n\r"):
+            raise ValueError(f"header name {name!r} contains a comma or newline")
+    for key, value in metadata.items():
+        if any(ch in f"{key}{value}" for ch in "\n\r"):
+            raise ValueError(f"metadata entry {key!r} contains a newline")
+    for name, c in zip(header, cols):
+        if c.dtype.kind == "U":
+            unsafe = any((np.char.find(c, ch) >= 0).any() for ch in ",\n\r")
+        else:
+            unsafe = c.dtype.kind == "O" and any(
+                isinstance(v, str) and any(ch in v for ch in ",\n\r")
+                for v in c.tolist())
+        if unsafe:
+            raise ValueError(f"column {name!r} has a cell with a comma or newline")
+
+
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
                 metadata: Dict[str, str]) -> None:
-    """Write a metadata-headed CSV with '\\n' newlines. Columns must be equal length."""
+    """Write a metadata-headed CSV with '\\n' newlines. Columns must be equal length.
+
+    Raises ValueError, before the file is opened, for a table that would
+    not read back (see ``_check_writable``).
+    """
     if len(header) != len(columns):
         raise ValueError("one header name per column required")
     cols = [np.asarray(c) for c in columns]
@@ -54,12 +111,25 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
     for c in cols:
         if c.shape != (n,):
             raise ValueError("all columns must be 1-d and equally long")
-    lines: List[str] = [f"# {k}: {v}" for k, v in metadata.items()]
-    lines.append(",".join(header))
-    for i in range(n):
-        lines.append(",".join(format_value(c[i]) for c in cols))
+    _check_writable(header, cols, metadata)
+    conversions = [_conversion(c.dtype) for c in cols]
+    template = ",".join(conv or "%s" for conv in conversions) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"# {k}: {v}\n" for k, v in metadata.items()))
+        fh.write(",".join(header) + "\n")
+        rows = max(1, BLOCK_CELLS // max(1, len(cols)))
+        for start in range(0, n, rows):
+            block = [c[start:start + rows] for c in cols]
+            cells = [c.tolist() if conv else [format_value(v) for v in c]
+                     for c, conv in zip(block, conversions)]
+            lines = [template % row for row in zip(*cells)]
+            bare = np.zeros(len(lines), dtype=bool)
+            for c, conv in zip(block, conversions):
+                if conv == "%.17g":
+                    bare |= _bare_integers(c)
+            for i in np.flatnonzero(bare):
+                lines[i] = ",".join(format_value(c[i]) for c in block) + "\n"
+            fh.write("".join(lines))
 
 
 def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:

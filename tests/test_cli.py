@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import wealthsim
 from wealthsim import analytics, cli, engine, stats
 from wealthsim.errors import ParseError
 from wealthsim.params import ModelParams
@@ -463,6 +464,15 @@ def test_stationary_compare_histogram(tmp_path, sim_dir):
     assert 0.0 <= tv <= 1.0 and not np.isnan(tv)
 
 
+def child_env():
+    """The environment for a child interpreter that imports this wealthsim."""
+    env = dict(os.environ)
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(wealthsim.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_parent, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_stationary_solve_does_not_import_scipy(tmp_path):
     # scipy is a test-only extra: importing scipy.linalg would add ~20 MB
     # of peak RSS to every stationary run
@@ -471,7 +481,8 @@ def test_stationary_solve_does_not_import_scipy(tmp_path):
             f"assert wealthsim.cli.main(['stationary', '--config', {path!r}, "
             f"'--out', {str(tmp_path / 'st')!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -481,7 +492,7 @@ def test_stationary_solve_does_not_import_scipy(tmp_path):
 
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "wealthsim.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     # argparse prints help and exits 0
     assert proc.returncode == 0
     for sub in ("simulate", "analytic", "stationary", "correlate"):

@@ -194,6 +194,17 @@ def test_second_mode_via_deflation(small_grid):
     assert len(modes) == 2 and len(iters) == 2
 
 
+@pytest.mark.parametrize("eps", [-0.005, -0.001])
+def test_second_mode_has_unit_l1_norm(eps):
+    # the second mode's net mass is ~5e-13 of its L1 norm at eps=-0.005 and
+    # ~6e-5 at eps=-0.001: scaling it to unit sum would blow it up 17 583x
+    op = st.build_operator(st.default_grid(), 0.06, eps)
+    values, modes, _ = st.leading_eigenpair(op, n_modes=2)
+    assert modes[0].sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(modes[1]).sum() == pytest.approx(1.0, abs=1e-12)
+    assert modes[1][np.argmax(np.abs(modes[1]))] > 0
+
+
 def test_mode_is_normalized_and_nonnegative(small_solution):
     sol = small_solution
     assert sol.mode.sum() == pytest.approx(1.0, abs=1e-12)

@@ -1,12 +1,14 @@
 """Lossless CSV round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from wealthsim.errors import ParseError
-from wealthsim.tableio import format_value, read_table, write_table
+from wealthsim.tableio import BLOCK_CELLS, format_value, read_table, write_table
 
 
 def test_format_value_cases():
@@ -112,3 +114,72 @@ def test_empty_table_round_trip(tmp_path):
     meta, header, cols = read_table(path)
     assert header == ["a", "b"]
     assert cols["a"].size == 0
+
+
+def reference_bytes(header, columns, metadata):
+    """The file as the cell-by-cell writer made it: one format_value per cell."""
+    lines = [f"# {k}: {v}" for k, v in metadata.items()]
+    lines.append(",".join(header))
+    for i in range(len(columns[0]) if columns else 0):
+        lines.append(",".join(format_value(c[i]) for c in columns))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+INT64 = np.iinfo(np.int64)
+# the floats whose text needs care: '-0.0', integral values either side of
+# 1e17 (where %.17g switches to an exponent), subnormals, nan and inf
+SPECIAL_FLOATS = [-0.0, 0.0, 1000.0, -1e16, 99999999999999984.0, 1e17, -1e17,
+                  5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan]
+CELLS = {
+    "int64": hyp.one_of(hyp.sampled_from([INT64.min, INT64.max, 0, -1]),
+                        hyp.integers(INT64.min, INT64.max)),
+    "uint64": hyp.one_of(hyp.sampled_from([2**63, 2**64 - 1]),
+                         hyp.integers(0, 2**64 - 1)),
+    "float64": hyp.one_of(hyp.sampled_from(SPECIAL_FLOATS), hyp.floats(width=64)),
+    "float32": hyp.floats(width=32),
+    "bool": hyp.booleans(),
+    "str": hyp.text(hyp.characters(blacklist_characters=",\n\r",
+                                   blacklist_categories=("Cs",)), max_size=6),
+}
+
+
+@hyp.composite
+def tables(draw):
+    kinds = draw(hyp.lists(hyp.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    block = BLOCK_CELLS // len(kinds)  # rows per block
+    n = draw(hyp.sampled_from([0, 1, block - 1, block, block + 1]))
+    rng = np.random.default_rng(draw(hyp.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        pool = np.array(draw(hyp.lists(CELLS[kind], min_size=1, max_size=8)),
+                        dtype=str if kind == "str" else kind)
+        columns.append(pool[rng.integers(pool.size, size=n)])
+    return [f"c{j}" for j in range(len(kinds))], columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_write_table_matches_the_cell_by_cell_writer(tmp_path_factory, table):
+    header, columns = table
+    path = tmp_path_factory.getbasetemp() / "bytes.csv"
+    metadata = {"params_hash": "5f1c2b", "units": "x=1, y=2"}
+    write_table(path, header, columns, metadata)
+    assert path.read_bytes() == reference_bytes(header, columns, metadata)
+
+
+@pytest.mark.parametrize("header, column, metadata", [
+    pytest.param(["name"], np.array(["a,b"]), {}, id="comma-cell"),
+    pytest.param(["name"], np.array(["ok", "two\nlines"]), {}, id="newline-cell"),
+    pytest.param(["name"], np.array(["carriage\rreturn"]), {}, id="cr-cell"),
+    pytest.param(["name"], np.array(["a,b"], dtype=object), {}, id="comma-object-cell"),
+    pytest.param(["a,b"], np.arange(2), {}, id="comma-name"),
+    pytest.param(["a\nb"], np.arange(2), {}, id="newline-name"),
+    pytest.param(["x"], np.arange(2), {"note": "two\nlines"}, id="newline-meta-value"),
+    pytest.param(["x"], np.arange(2), {"bad\nkey": "v"}, id="newline-meta-key"),
+])
+def test_unreadable_tables_are_refused_before_the_file_opens(tmp_path, header,
+                                                              column, metadata):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_table(path, header, [column], metadata)
+    assert not path.exists()
