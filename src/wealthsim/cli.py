@@ -83,9 +83,40 @@ class ExperimentConfig:
     compare_histogram: str = ""
 
     def __post_init__(self):
+        """Raise ParameterError listing every violated invariant."""
         # ModelParams reads mode case-blind; keep the one spelling it means
         # so to_text, params_hash and the manifests do not depend on case
         object.__setattr__(self, "mode", self.mode.lower())
+        problems: List[str] = []
+        try:
+            self.model_params()
+        except ParameterError as exc:
+            problems.extend(exc.problems)
+        if self.series_stride < 1:
+            problems.append(f"series_stride must be >= 1, got {self.series_stride}")
+        if self.snapshot_count < 1:
+            problems.append(f"snapshot_count must be >= 1, got {self.snapshot_count}")
+        if self.hist_bins_per_decade < 1:
+            problems.append("hist_bins_per_decade must be >= 1, "
+                            f"got {self.hist_bins_per_decade}")
+        if (self.window_start, self.window_end) != (0, 0) and not (
+                0 <= self.window_start < self.window_end):
+            problems.append("window_start/window_end must satisfy 0 <= start < end, "
+                            f"got [{self.window_start}, {self.window_end})")
+        if self.workers < 1:
+            problems.append(f"workers must be >= 1, got {self.workers}")
+        if self.grid_points < 2:
+            problems.append(f"grid_points must be >= 2, got {self.grid_points}")
+        if self.n_modes < 1:
+            problems.append(f"n_modes must be >= 1, got {self.n_modes}")
+        for k in self.k_list:
+            if not k > 0:
+                problems.append(f"k_list entries must be positive, got {k}")
+        for eps in self.epsilon_sweep:
+            if not -1.0 < eps < 1.0:
+                problems.append(f"epsilon_sweep entries must lie in (-1, 1), got {eps}")
+        if problems:
+            raise ParameterError(problems)
 
     def model_params(self) -> ModelParams:
         return ModelParams(**{f.name: getattr(self, f.name)
@@ -217,14 +248,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in seen:
             problems.append(f"missing required key {key!r}")
 
-    cfg: Optional[ExperimentConfig] = None
-    if not problems:
-        cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
-        problems.extend(_located(p, key_lines) for p in _validate(cfg))
     if problems:
         raise ParseError(problems)
-    assert cfg is not None
-    return cfg
+    try:
+        return ExperimentConfig(**values)  # type: ignore[arg-type]
+    except ParameterError as exc:
+        raise ParseError([_located(p, key_lines) for p in exc.problems]) from None
 
 
 def _located(problem: str, key_lines: Dict[str, int]) -> str:
@@ -235,46 +264,8 @@ def _located(problem: str, key_lines: Dict[str, int]) -> str:
     return problem
 
 
-def _validate(cfg: ExperimentConfig) -> List[str]:
-    problems: List[str] = []
-    try:
-        cfg.model_params()
-    except ParameterError as exc:
-        problems.extend(exc.problems)
-    if cfg.series_stride < 1:
-        problems.append(f"series_stride must be >= 1, got {cfg.series_stride}")
-    if cfg.snapshot_count < 1:
-        problems.append(f"snapshot_count must be >= 1, got {cfg.snapshot_count}")
-    if cfg.hist_bins_per_decade < 1:
-        problems.append("hist_bins_per_decade must be >= 1, "
-                        f"got {cfg.hist_bins_per_decade}")
-    if (cfg.window_start, cfg.window_end) != (0, 0) and not (
-            0 <= cfg.window_start < cfg.window_end):
-        problems.append("window_start/window_end must satisfy "
-                        f"0 <= start < end, got [{cfg.window_start}, {cfg.window_end})")
-    if cfg.workers < 1:
-        problems.append(f"workers must be >= 1, got {cfg.workers}")
-    if cfg.grid_points < 2:
-        problems.append(f"grid_points must be >= 2, got {cfg.grid_points}")
-    if cfg.n_modes < 1:
-        problems.append(f"n_modes must be >= 1, got {cfg.n_modes}")
-    for k in cfg.k_list:
-        if not k > 0:
-            problems.append(f"k_list entries must be positive, got {k}")
-    for eps in cfg.epsilon_sweep:
-        if not -1.0 < eps < 1.0:
-            problems.append(f"epsilon_sweep entries must lie in (-1, 1), got {eps}")
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # Export helpers
-
-def _meta(cfg: ExperimentConfig, units: str, **extra: str) -> Dict[str, str]:
-    meta = {"params_hash": cfg.params_hash(), "seed": str(cfg.seed), "units": units}
-    meta.update(extra)
-    return meta
-
 
 class _Exporter:
     """Collects tables for one output directory; nothing touches disk until
@@ -283,29 +274,32 @@ class _Exporter:
     def __init__(self, cfg: ExperimentConfig, out_dir: str):
         self.cfg = cfg
         self.out_dir = out_dir
-        self.entries: List[Dict[str, object]] = []
-        self._pending: List[Tuple[str, Sequence[str], List[np.ndarray],
-                                  Dict[str, str]]] = []
+        # (name, kind, header, columns, metadata) per table
+        self.tables: List[Tuple[str, str, List[str], List[np.ndarray],
+                                Dict[str, str]]] = []
 
     def table(self, name: str, kind: str, header: Sequence[str],
               columns: Sequence[np.ndarray], units: str, **extra: str) -> None:
-        self._pending.append((name, list(header), [np.asarray(c) for c in columns],
-                              _meta(self.cfg, units, **extra)))
-        self.entries.append({"path": name, "kind": kind,
-                             "params_hash": self.cfg.params_hash(),
-                             "seed": self.cfg.seed})
+        meta = {"params_hash": self.cfg.params_hash(), "seed": str(self.cfg.seed),
+                "units": units, **extra}
+        self.tables.append((name, kind, list(header),
+                            [np.asarray(c) for c in columns], meta))
 
-    def manifest(self) -> None:
+    def manifest(self) -> int:
+        """Write every table, then manifest.json; return the number of tables."""
         os.makedirs(self.out_dir, exist_ok=True)
-        for name, header, columns, meta in self._pending:
+        for name, _, header, columns, meta in self.tables:
             tableio.write_table(os.path.join(self.out_dir, name), header,
                                 columns, meta)
+        files = [{"path": name, "kind": kind, "params_hash": meta["params_hash"],
+                  "seed": self.cfg.seed} for name, kind, _, _, meta in self.tables]
         doc = {"params_hash": self.cfg.params_hash(), "seed": self.cfg.seed,
-               "files": sorted(self.entries, key=lambda e: e["path"])}
+               "files": sorted(files, key=lambda e: e["path"])}
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return len(self.tables)
 
 
 def _float_tag(value: float) -> str:
@@ -317,12 +311,9 @@ def _float_tag(value: float) -> str:
     return repr(float(value)).replace("-", "m").replace(".", "p")
 
 
-def _hist_columns(hist: stats.LogHistogram) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bin_lo, bin_hi, count) rows including the open-ended outer bins."""
-    edges = np.asarray(hist.bin_edges, dtype=np.float64)
-    lo = np.concatenate([[0.0], edges])
-    hi = np.concatenate([edges, [math.inf]])
-    return lo, hi, np.asarray(hist.counts, dtype=np.int64)
+def _bin_bounds(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(bin_lo, bin_hi) of every bin, including the open-ended outer bins."""
+    return np.concatenate([[0.0], edges]), np.concatenate([edges, [math.inf]])
 
 
 def read_histogram(path: str) -> stats.LogHistogram:
@@ -362,6 +353,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     ex = _Exporter(cfg, out_dir)
     records = _run_records(cfg, with_histograms=True)
     edges = cfg.histogram_edges()
+    lo, hi = _bin_bounds(edges)
     for rec in records:
         r = rec.run_id
         ex.table(f"series_run{r:02d}.csv", "series",
@@ -379,34 +371,24 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
                      [np.arange(1, cfg.n_agents + 1)] + rec.sorted_snapshots,
                      "rank=1-based sorted position, t*=currency", run=str(r))
         if cfg.export_histograms:
-            t_col, lo_col, hi_col, n_col = [], [], [], []
-            for t, snap in zip(rec.snapshot_times, rec.sorted_snapshots):
-                counts = stats.bin_excess(edges, snap - cfg.wp)
-                lo, hi, c = _hist_columns(
-                    stats.LogHistogram(bin_edges=edges, counts=counts, window=None))
-                t_col.append(np.full(c.size, int(t), dtype=np.int64))
-                lo_col.append(lo)
-                hi_col.append(hi)
-                n_col.append(c)
+            counts = [stats.bin_excess(edges, snap - cfg.wp)
+                      for snap in rec.sorted_snapshots]
             ex.table(f"hist_run{r:02d}.csv", "histogram",
                      ["t", "bin_lo", "bin_hi", "count"],
-                     [np.concatenate(t_col), np.concatenate(lo_col),
-                      np.concatenate(hi_col), np.concatenate(n_col)],
+                     [np.repeat(rec.snapshot_times, lo.size), np.tile(lo, len(counts)),
+                      np.tile(hi, len(counts)), np.concatenate(counts)],
                      "t=days, bin_*=excess currency, count=agents", run=str(r))
         for hist in rec.histograms:
-            lo, hi, c = _hist_columns(hist)
             a, b = hist.window
             ex.table(f"window_hist_run{r:02d}.csv", "histogram",
                      ["window_start", "window_end", "bin_lo", "bin_hi", "count"],
-                     [np.full(c.size, a, dtype=np.int64),
-                      np.full(c.size, b, dtype=np.int64), lo, hi, c],
+                     [np.full(lo.size, a, dtype=np.int64),
+                      np.full(lo.size, b, dtype=np.int64), lo, hi, hist.counts],
                      "window=days, bin_*=excess currency, count=agent-ticks",
                      run=str(r))
         if cfg.export_flux:
             _export_flux(ex, rec)
-    ex.manifest()
-    print(f"simulate: wrote {len(ex.entries)} files + manifest.json to {out_dir}")
-    return 0
+    return ex.manifest()
 
 
 def _export_flux(ex: _Exporter, rec: engine.TrajectoryRecord) -> Optional[stats.FluxMatrix]:
@@ -416,11 +398,9 @@ def _export_flux(ex: _Exporter, rec: engine.TrajectoryRecord) -> Optional[stats.
         return None
     fm = stats.flux_matrix(rec.rank_series, rec.rank_ids)
     n = fm.ranks.size
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     ex.table(f"flux_run{rec.run_id:02d}.csv", "matrix",
              ["rank_i", "rank_j", "raw", "compressed"],
-             [fm.ranks[ii.ravel()], fm.ranks[jj.ravel()],
-              fm.A.ravel(), fm.C.ravel()],
+             [np.repeat(fm.ranks, n), np.tile(fm.ranks, n), fm.A.ravel(), fm.C.ravel()],
              "rank_*=1-based sorted position, raw=currency^2, "
              "compressed=signed log-squared", run=str(rec.run_id))
     return fm
@@ -442,9 +422,7 @@ def cmd_correlate(cfg: ExperimentConfig, out_dir: str) -> int:
              [np.array(runs, dtype=np.int64), np.array(divides), np.array(neg_fracs)],
              "run=index, divide_rank=1-based rank (nan=no divide), "
              "neg_frac_rank1=fraction of bulk columns anticorrelated with rank 1")
-    ex.manifest()
-    print(f"correlate: wrote {len(ex.entries)} files + manifest.json to {out_dir}")
-    return 0
+    return ex.manifest()
 
 
 def _rank1_negative_fraction(fm: stats.FluxMatrix) -> float:
@@ -480,9 +458,7 @@ def cmd_analytic(cfg: ExperimentConfig, out_dir: str) -> int:
     ex.table("analytic_report.csv", "series", ["name", "value"],
              [np.array(names, dtype=str), np.array(values, dtype=np.float64)],
              "value=mixed (x in ln currency, t in days, rates per day)")
-    ex.manifest()
-    print(f"analytic: wrote {len(ex.entries)} files + manifest.json to {out_dir}")
-    return 0
+    return ex.manifest()
 
 
 def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -504,7 +480,9 @@ def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
         for idx, (lam, mode, its) in enumerate(zip(values, modes, iters), start=1):
             ex.table(f"eigenmode_eps{_float_tag(eps)}_m{idx}.csv", "eigenmode",
                      ["x", "mass"], [grid.x, mode],
-                     "x=ln(excess currency), mass=probability per cell",
+                     "x=ln(excess currency), mass=probability per cell" if idx == 1
+                     else "x=ln(excess currency), mass=signed amplitude per cell "
+                          "(unit L1 norm, largest entry positive, near-zero sum)",
                      epsilon=tableio.format_value(eps), mode_index=str(idx))
             # diagnostics are for the leading mode only
             diagnostics = [math.nan] * 5
@@ -521,9 +499,7 @@ def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
              list(np.array(rows, dtype=np.float64).T),
              "epsilon=skew, eigenvalue=per day, iterations=count, "
              "peak_x/std_x=ln(excess currency), boundary_piled=0/1, tv=[0,1]")
-    ex.manifest()
-    print(f"stationary: wrote {len(ex.entries)} files + manifest.json to {out_dir}")
-    return 0
+    return ex.manifest()
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: value for key, value in (("seed", args.seed), ("n_runs", args.runs))
+                 if value is not None}
     try:
         with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -565,26 +543,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 4
 
     try:
-        cfg = parse_config(text)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.runs is not None:
-            overrides["n_runs"] = args.runs
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-            problems = _validate(cfg)
-            if problems:
-                raise ParseError(problems)
+        cfg = dataclasses.replace(parse_config(text), **overrides)
+        out_dir = args.out if args.out is not None else cfg.out_dir
+        n_files = _COMMANDS[args.command](cfg, out_dir)
     except (ParseError, ParameterError) as exc:
-        print(f"wealthsim: config error:\n{exc}", file=sys.stderr)
-        return 2
-
-    out_dir = args.out if args.out is not None else cfg.out_dir
-    try:
-        return _COMMANDS[args.command](cfg, out_dir)
-    except (ParseError, ParameterError) as exc:
-        print(f"wealthsim: config error:\n{exc}", file=sys.stderr)
+        print("wealthsim: config error:\n" + "\n".join(exc.problems), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"wealthsim: I/O error: {exc}", file=sys.stderr)
@@ -592,6 +555,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WealthsimError as exc:
         print(f"wealthsim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    print(f"{args.command}: wrote {n_files} files + manifest.json to {out_dir}")
+    return 0
 
 
 if __name__ == "__main__":

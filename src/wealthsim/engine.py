@@ -13,8 +13,8 @@ the sparse snapshot times, so windowed histograms have to be streamed.
 
 Because every random draw is a pure function of (seed, run, t, agent),
 records are bit-identical however the runs are scheduled: serially, or in a
-thread pool. Only the C kernel drops the GIL for the day loop, so threads
-do not speed up the numpy fallback.
+thread pool. Only the C kernel drops the GIL for the day loop, so the pool
+is started for it alone; the numpy fallback always runs serially.
 """
 
 from __future__ import annotations
@@ -114,8 +114,9 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
     """Execute ``params.n_runs`` independent runs and record each.
 
     ``workers > 1`` dispatches whole runs to a thread pool of at most
-    ``min(workers, n_runs, cpu count)`` threads; the results are identical
-    to the serial ones by construction.
+    ``min(workers, n_runs, cpu count)`` threads when the C kernel is in use
+    (the numpy kernel holds the GIL and runs slower in threads); the results
+    are identical to the serial ones by construction.
     """
     if schedule is None:
         schedule = default_schedule(params.t_max)
@@ -130,7 +131,7 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
 
     run_ids = range(params.n_runs)
     threads = min(workers, params.n_runs, os.cpu_count() or 1)
-    if threads > 1:
+    if threads > 1 and backends.backend_name == "c":
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda r: _run_single(params, schedule, rank_ids, r), run_ids))
     return [_run_single(params, schedule, rank_ids, r) for r in run_ids]

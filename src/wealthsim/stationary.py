@@ -45,6 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import GridTooCoarse, NoOverlap, NotConverged
+from .params import ModelParams
 from .stats import LogHistogram
 
 LN10 = math.log(10.0)
@@ -82,8 +83,9 @@ class LogGrid:
         return self.dx * self.m / LN10
 
 
-def default_grid(w1: float = 1000.0, wp: float = 400.0, m: int = 3600,
-                 decades: float = 12.0, decades_below: float = 8.0) -> LogGrid:
+def default_grid(w1: float = ModelParams.w1, wp: float = ModelParams.wp,
+                 m: int = 3600, decades: float = 12.0,
+                 decades_below: float = 8.0) -> LogGrid:
     """Grid spanning ``decades`` decades of excess wealth, with the initial
     log-excess ln(w1 - wp) placed ``decades_below`` decades above the floor."""
     x_min = math.log(w1 - wp) - decades_below * LN10
@@ -170,7 +172,7 @@ def _base_band(beta: float, dx: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def build_operator(grid: LogGrid, beta: float, epsilon: float,
-                   w1: float = 1000.0, wp: float = 400.0) -> BandOperator:
+                   w1: float = ModelParams.w1, wp: float = ModelParams.wp) -> BandOperator:
     """Assemble the banded one-day transport operator.
 
     Raises GridTooCoarse when the multiplier band covers fewer than
@@ -178,6 +180,8 @@ def build_operator(grid: LogGrid, beta: float, epsilon: float,
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    if not -1.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (-1, 1), got {epsilon}")
     offsets, band = _base_band(beta, grid.dx)
     if offsets.size < MIN_BAND_CELLS:
         raise GridTooCoarse(
@@ -389,8 +393,8 @@ class StationarySolution:
         return bool(low > 0.5 and peak_frac < 0.25 and top < 1e-4)
 
 
-def solve_stationary(beta: float, epsilon: float, *, w1: float = 1000.0,
-                     wp: float = 400.0, m: int = 3600,
+def solve_stationary(beta: float, epsilon: float, *, w1: float = ModelParams.w1,
+                     wp: float = ModelParams.wp, m: int = 3600,
                      grid: Optional[LogGrid] = None,
                      max_iter: int = 400000) -> StationarySolution:
     """Build the default-grid operator and solve for its leading mode."""

@@ -78,23 +78,36 @@ def _bare_integers(c: np.ndarray) -> np.ndarray:
 
 def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
                     metadata: Dict[str, str]) -> None:
-    """Refuse what read_table could not read back: a comma or newline in a
-    header name or string cell, a newline in a metadata key or value."""
+    """Refuse what read_table could not return intact: it splits lines at
+    commas, strips header names and metadata, ends a metadata key at the
+    first ':', keys columns by name, and skips blank lines and lines
+    starting with '#'."""
+    line = ",".join(header)
+    if not line.strip() or line.startswith("#"):
+        raise ValueError(f"header {header!r} would read as a blank or comment line")
     for name in header:
-        if any(ch in name for ch in ",\n\r"):
-            raise ValueError(f"header name {name!r} contains a comma or newline")
+        if any(ch in name for ch in ",\n\r") or name != name.strip():
+            raise ValueError(f"header name {name!r} contains a comma, a newline "
+                             "or surrounding whitespace")
+    if len(set(header)) != len(header):
+        raise ValueError(f"header {header!r} repeats a name")
     for key, value in metadata.items():
-        if any(ch in f"{key}{value}" for ch in "\n\r"):
-            raise ValueError(f"metadata entry {key!r} contains a newline")
-    for name, c in zip(header, cols):
-        if c.dtype.kind == "U":
-            unsafe = any((np.char.find(c, ch) >= 0).any() for ch in ",\n\r")
-        else:
-            unsafe = c.dtype.kind == "O" and any(
-                isinstance(v, str) and any(ch in v for ch in ",\n\r")
-                for v in c.tolist())
-        if unsafe:
+        key, value = str(key), str(value)
+        if (any(ch in key + value for ch in "\n\r") or ":" in key
+                or key != key.strip() or value != value.strip()):
+            raise ValueError(f"metadata entry {key!r}: {value!r} contains a newline, "
+                             "a ':' in the key or surrounding whitespace")
+    for j, (name, c) in enumerate(zip(header, cols)):
+        if c.dtype.kind == "O":
+            c = np.array([v for v in c.tolist() if isinstance(v, str)], dtype=str)
+        if c.dtype.kind != "U":
+            continue
+        if any((np.char.find(c, ch) >= 0).any() for ch in ",\n\r"):
             raise ValueError(f"column {name!r} has a cell with a comma or newline")
+        if j == 0 and np.char.startswith(c, "#").any():
+            raise ValueError(f"first column {name!r} has a cell starting with '#'")
+        if len(cols) == 1 and any(not v.strip() for v in c.tolist()):
+            raise ValueError(f"one-column table {name!r} has a blank cell")
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],

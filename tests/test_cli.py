@@ -12,7 +12,7 @@ import pytest
 
 import wealthsim
 from wealthsim import analytics, cli, engine, stats
-from wealthsim.errors import ParseError
+from wealthsim.errors import ParameterError, ParseError
 from wealthsim.params import ModelParams
 from wealthsim.tableio import read_table
 
@@ -154,6 +154,18 @@ def test_violation_cites_the_line_of_the_whole_key(tail, line):
         cli.parse_config(head + tail)
     [msg] = ei.value.problems
     assert msg.startswith(f"line {line}: ")
+
+
+def test_config_validates_itself_on_construction():
+    with pytest.raises(ParameterError) as ei:
+        cli.ExperimentConfig(n_agents=60, beta=1.5, mode="reset", t_max=400,
+                             seed=11, workers=0)
+    [beta, workers] = ei.value.problems
+    assert "beta" in beta and "1.5" in beta
+    assert "workers" in workers
+    valid = cli.parse_config(BASE)
+    with pytest.raises(ParameterError, match="n_runs"):
+        dataclasses.replace(valid, n_runs=0)
 
 
 def test_params_hash_covers_physics_only():
@@ -439,8 +451,12 @@ def test_stationary_sweep_with_two_modes(tmp_path):
     path = write_cfg(tmp_path, text)
     out = tmp_path / "st"
     assert cli.main(["stationary", "--config", path, "--out", str(out)]) == 0
-    assert (out / "eigenmode_epsm0p03_m1.csv").exists()
-    assert (out / "eigenmode_epsm0p03_m2.csv").exists()
+    meta1, _, _ = read_table(out / "eigenmode_epsm0p03_m1.csv")
+    meta2, _, m2 = read_table(out / "eigenmode_epsm0p03_m2.csv")
+    assert meta1["units"] == "x=ln(excess currency), mass=probability per cell"
+    # modes past the first are signed, unit-L1 vectors, not probabilities
+    assert "probability" not in meta2["units"] and "unit L1 norm" in meta2["units"]
+    assert np.abs(m2["mass"]).sum() == pytest.approx(1.0)
     _, header, cols = read_table(out / "stationary_report.csv")
     assert header == ["epsilon", "mode_index", "eigenvalue", "iterations",
                       "residual", "peak_x", "std_x", "boundary_piled", "tv"]

@@ -40,7 +40,9 @@ def test_parallel_matches_serial_exactly():
             np.testing.assert_array_equal(s, t)
 
 
-def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
+def pools_and_identity(monkeypatch, backend_name):
+    """The pool sizes run(workers=64) starts on 2 cores with the named
+    backend, after checking its records against the serial ones."""
     params = small_params()
     sched = default_schedule(600, n_snapshots=12)
     serial = run(params, sched, workers=1)
@@ -51,15 +53,25 @@ def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+    monkeypatch.setattr(engine.backends, "backend_name", backend_name)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
     wide = run(params, sched, workers=64)
-    assert pools == [2]
     for a, b in zip(serial, wide):
         for field in ("mean_series", "max_series", "gini_series", "rank_series"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert [s.tobytes() for s in a.sorted_snapshots] \
             == [s.tobytes() for s in b.sorted_snapshots]
+    return pools
+
+
+def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
+    assert pools_and_identity(monkeypatch, "c") == [2]
+
+
+def test_numpy_kernel_never_runs_in_a_thread_pool(monkeypatch):
+    # the numpy kernel holds the GIL, so threads only add contention
+    assert pools_and_identity(monkeypatch, "python") == []
 
 
 def test_runs_are_distinct_streams():

@@ -88,6 +88,12 @@ def test_operator_rejects_bad_beta(beta):
         st.build_operator(st.default_grid(m=600, decades=2.0), beta, 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [-1.5, -1.0, 1.0])
+def test_operator_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        st.build_operator(st.default_grid(m=600, decades=2.0), 0.06, epsilon)
+
+
 # --- operator structure ----------------------------------------------------
 
 
