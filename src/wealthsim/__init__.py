@@ -22,8 +22,7 @@ from .engine import (RecordingSchedule, TrajectoryRecord, default_schedule,
 from .errors import (DegenerateInput, DomainError, GridTooCoarse, NoOverlap,
                      NormalizationDegenerate, NotConverged, ParameterError,
                      ParseError, WealthsimError)
-from .model import (Ensemble, MultiplierLaw, draw_multiplier, initial_ensemble,
-                    status, step_ensemble, step_free)
+from .model import Ensemble, initial_ensemble, step_ensemble
 from .params import Mode, ModelParams
 from .stats import (FluxMatrix, LogHistogram, bin_excess, default_ranks,
                     flux_matrix, geometric_edges, gini, gini_pairwise,
@@ -44,8 +43,7 @@ __all__ = [
     "DegenerateInput", "DomainError", "GridTooCoarse", "NoOverlap",
     "NormalizationDegenerate", "NotConverged", "ParameterError", "ParseError",
     "WealthsimError",
-    "Ensemble", "MultiplierLaw", "draw_multiplier", "initial_ensemble",
-    "status", "step_ensemble", "step_free",
+    "Ensemble", "initial_ensemble", "step_ensemble",
     "Mode", "ModelParams",
     "FluxMatrix", "LogHistogram", "bin_excess", "default_ranks",
     "flux_matrix", "geometric_edges", "gini", "gini_pairwise",

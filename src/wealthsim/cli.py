@@ -35,7 +35,7 @@ import numpy as np
 from . import analytics, engine, stats, stationary, tableio
 from .errors import (DomainError, NotConverged, ParameterError, ParseError,
                      WealthsimError)
-from .params import ModelParams
+from .params import Mode, ModelParams
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
@@ -45,23 +45,14 @@ DEFAULT_EPSILON_SWEEP = (-0.001, -0.005, -0.015, -0.03)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ModelParams):
     """Everything a subcommand needs, as parsed from one config file.
 
     The fields are the config schema: each one is a key, parsed by its
-    annotation, and the keys without a default are required.
+    annotation, and the keys without a default are required. The model
+    keys are ModelParams' fields; the ones declared here follow them.
     """
 
-    # model
-    n_agents: int
-    beta: float
-    mode: str
-    t_max: int
-    seed: int
-    epsilon: float = ModelParams.epsilon
-    w1: float = ModelParams.w1
-    wp: float = ModelParams.wp
-    n_runs: int = ModelParams.n_runs
     # recording schedule
     series_stride: int = 30
     snapshot_count: int = 75
@@ -84,12 +75,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Raise ParameterError listing every violated invariant."""
-        # ModelParams reads mode case-blind; keep the one spelling it means
-        # so to_text, params_hash and the manifests do not depend on case
-        object.__setattr__(self, "mode", self.mode.lower())
         problems: List[str] = []
         try:
-            self.model_params()
+            super().__post_init__()
         except ParameterError as exc:
             problems.extend(exc.problems)
         if self.series_stride < 1:
@@ -118,10 +106,6 @@ class ExperimentConfig:
         if problems:
             raise ParameterError(problems)
 
-    def model_params(self) -> ModelParams:
-        return ModelParams(**{f.name: getattr(self, f.name)
-                              for f in dataclasses.fields(ModelParams)})
-
     def histogram_edges(self) -> np.ndarray:
         """Excess-wealth bin edges: 16 decades around the initial excess."""
         exc0 = self.w1 - self.wp
@@ -130,15 +114,15 @@ class ExperimentConfig:
                                      n_decades * self.hist_bins_per_decade)
 
     def schedule(self, with_histograms: bool = False) -> engine.RecordingSchedule:
-        windows: Tuple[Tuple[int, int], ...] = ()
+        window = None
         edges = None
         if with_histograms and (self.window_start, self.window_end) != (0, 0):
-            windows = ((self.window_start, self.window_end),)
+            window = (self.window_start, self.window_end)
             edges = self.histogram_edges()
         return engine.default_schedule(self.t_max, n_snapshots=self.snapshot_count,
                                        series_stride=self.series_stride,
                                        histogram_edges=edges,
-                                       histogram_windows=windows)
+                                       histogram_window=window)
 
     def to_text(self) -> str:
         """Lossless file representation (parse_config inverts it).
@@ -196,6 +180,7 @@ _CODECS_BY_TYPE = {
     float: (float, _format_float),
     str: (str, _format_str),
     bool: (_parse_bool, lambda v: "true" if v else "false"),
+    Mode: (str, lambda m: m.value),
     Tuple[float, ...]: (_parse_floats, lambda v: ", ".join(map(_format_float, v))),
 }
 # key -> (parse, format), in field order; an unsupported annotation fails here
@@ -344,9 +329,8 @@ def read_histogram(path: str) -> stats.LogHistogram:
 # Subcommands
 
 def _run_records(cfg: ExperimentConfig, with_histograms: bool) -> List[engine.TrajectoryRecord]:
-    params = cfg.model_params()
-    schedule = cfg.schedule(with_histograms=with_histograms)
-    return engine.run(params, schedule, workers=cfg.workers)
+    return engine.run(cfg, cfg.schedule(with_histograms=with_histograms),
+                      workers=cfg.workers)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -378,7 +362,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
                      [np.repeat(rec.snapshot_times, lo.size), np.tile(lo, len(counts)),
                       np.tile(hi, len(counts)), np.concatenate(counts)],
                      "t=days, bin_*=excess currency, count=agents", run=str(r))
-        for hist in rec.histograms:
+        hist = rec.histogram
+        if hist is not None:
             a, b = hist.window
             ex.table(f"window_hist_run{r:02d}.csv", "histogram",
                      ["window_start", "window_end", "bin_lo", "bin_hi", "count"],

@@ -7,9 +7,9 @@ kernel backend and records observables at two granularities:
   ranks) every ``series_stride`` days, and
 * full descending-sorted wealth snapshots at ~75 log-spaced times.
 
-Optionally, excess-wealth histograms are accumulated on the fly at every
-stride tick inside configured time windows — full vectors are only kept at
-the sparse snapshot times, so windowed histograms have to be streamed.
+Optionally, an excess-wealth histogram is accumulated on the fly at every
+stride tick inside one configured time window — full vectors are only kept
+at the sparse snapshot times, so the windowed histogram has to be streamed.
 
 Because every random draw is a pure function of (seed, run, t, agent),
 records are bit-identical however the runs are scheduled: serially, or in a
@@ -39,8 +39,8 @@ class RecordingSchedule:
     ``snapshot_times`` must be strictly increasing. ``rank_ids`` are 1-based
     ranks into the descending sort (rank 1 = wealthiest); None selects
     ``stats.default_ranks`` for the population size at run time.
-    ``histogram_windows`` are half-open [t_start, t_end) day intervals; at
-    every stride tick inside a window the excess vector is accumulated into
+    ``histogram_window`` is a half-open [t_start, t_end) day interval; at
+    every stride tick inside it the excess vector is accumulated into
     geometric bins given by ``histogram_edges``.
     """
 
@@ -48,7 +48,7 @@ class RecordingSchedule:
     series_stride: int = 30
     rank_ids: Optional[Tuple[int, ...]] = None
     histogram_edges: Optional[Tuple[float, ...]] = None
-    histogram_windows: Tuple[Tuple[int, int], ...] = ()
+    histogram_window: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         times = tuple(int(t) for t in self.snapshot_times)
@@ -59,9 +59,10 @@ class RecordingSchedule:
             raise ParameterError("snapshot_times must be nonnegative")
         if self.series_stride < 1:
             raise ParameterError("series_stride must be a positive number of days")
-        if self.histogram_windows and self.histogram_edges is None:
-            raise ParameterError("histogram_windows require histogram_edges")
-        for a, b in self.histogram_windows:
+        if self.histogram_window is not None:
+            if self.histogram_edges is None:
+                raise ParameterError("histogram_window requires histogram_edges")
+            a, b = self.histogram_window
             if b <= a or a < 0:
                 raise ParameterError(f"bad histogram window [{a}, {b})")
 
@@ -98,7 +99,7 @@ class TrajectoryRecord:
     rank_series: np.ndarray           # (n_ranks, n_ticks) sorted wealth
     snapshot_times: np.ndarray
     sorted_snapshots: List[np.ndarray]  # descending wealth per snapshot time
-    histograms: Tuple[stats.LogHistogram, ...] = ()
+    histogram: Optional[stats.LogHistogram] = None  # the windowed one, if any
 
 
 def max_log_excess(rec: TrajectoryRecord) -> Tuple[np.ndarray, np.ndarray]:
@@ -157,12 +158,10 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
     rank_series = np.empty((rank_ids.size, n_ticks))
     sorted_snapshots: List[np.ndarray] = []
 
-    edges = None
-    hist_counts = []
-    if schedule.histogram_windows:
+    window = schedule.histogram_window
+    if window is not None:
         edges = np.asarray(schedule.histogram_edges, dtype=np.float64)
-        hist_counts = [np.zeros(edges.size + 1, dtype=np.int64)
-                       for _ in schedule.histogram_windows]
+        hist_counts = np.zeros(edges.size + 1, dtype=np.int64)
 
     is_tick = np.isin(events, tick_times)
     is_snap = np.isin(events, snap_times)
@@ -184,21 +183,18 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
             max_series[tick_pos] = desc[0]
             gini_series[tick_pos] = stats._gini_sorted(desc[::-1])
             rank_series[:, tick_pos] = desc[rank_ids - 1]
-            for w_idx, (a, b) in enumerate(schedule.histogram_windows):
-                if a <= t_ev < b:
-                    hist_counts[w_idx] += stats.bin_excess(edges, excess)
+            if window is not None and window[0] <= t_ev < window[1]:
+                hist_counts += stats.bin_excess(edges, excess)
             tick_pos += 1
         if is_snap[ev_idx]:
             sorted_snapshots.append(desc.copy())
 
-    histograms = tuple(
-        stats.LogHistogram(bin_edges=edges, counts=c, window=w)
-        for c, w in zip(hist_counts, schedule.histogram_windows)
-    )
+    histogram = (None if window is None else
+                 stats.LogHistogram(bin_edges=edges, counts=hist_counts, window=window))
     return TrajectoryRecord(
         params=params, run_id=run_id,
         series_times=tick_times, mean_series=mean_series, max_series=max_series,
         gini_series=gini_series, rank_ids=rank_ids, rank_series=rank_series,
         snapshot_times=snap_times, sorted_snapshots=sorted_snapshots,
-        histograms=histograms,
+        histogram=histogram,
     )

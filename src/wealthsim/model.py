@@ -23,10 +23,10 @@ Two couplings modify the free dynamics:
   negative epsilon acts like a progressive brake on the affluent and is
   enough to tame the intermittency.
 
-Everything here is a pure function operating on one day; the engine module
-drives full trajectories through the compiled kernels instead of these
-reference implementations, but both paths draw the same random numbers and
-agree to floating-point roundoff.
+``step_ensemble`` is the whole update as one pure numpy function of one
+day. The engine drives full trajectories through the kernels in
+``backends`` instead; fed the same uniform deviates, both agree to
+floating-point roundoff, which makes this module their independent oracle.
 """
 
 from __future__ import annotations
@@ -57,46 +57,6 @@ class Ensemble:
     @property
     def n_agents(self) -> int:
         return self.wealth.shape[0]
-
-    def excess(self, wp: float) -> np.ndarray:
-        return self.wealth - wp
-
-
-@dataclass(frozen=True)
-class MultiplierLaw:
-    """Daily multiplier distribution, optionally biased by agent status.
-
-    With ``status_hook`` off, draws are uniform on [1-beta, 1+beta] with mean
-    exactly 1. With it on, draws are scaled by (1 + epsilon * S) and their
-    mean becomes exactly 1 + epsilon * S.
-    """
-
-    beta: float
-    epsilon: float = 0.0
-    status_hook: bool = False
-
-
-def status(w, w1: float, wp: float):
-    """Homographic status map: 0 at the floor, 1/2 at w1 + wp, -> 1 for large w.
-
-    Works elementwise on arrays.
-    """
-    excess = np.asarray(w, dtype=np.float64) - wp
-    out = excess / (w1 + excess)
-    return float(out) if np.ndim(w) == 0 else out
-
-
-def draw_multiplier(law: MultiplierLaw, status_value: float, u: float) -> float:
-    """Map one uniform deviate u in [0,1] to a daily multiplier."""
-    lam = 1.0 + law.beta * (1.0 - 2.0 * u)
-    if law.status_hook:
-        lam *= 1.0 + law.epsilon * status_value
-    return lam
-
-
-def step_free(w, lam, wp: float):
-    """One uncoupled update: wp + lam * (w - wp). Elementwise on arrays."""
-    return wp + lam * (w - wp)
 
 
 def step_ensemble(ens: Ensemble, params: ModelParams, draws: np.ndarray) -> Ensemble:

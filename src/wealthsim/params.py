@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .rng import MAX_AGENTS, MAX_DAYS, MAX_RUNS
@@ -65,6 +65,8 @@ class ModelParams:
             problems.append(f"t_max must be nonnegative, got {self.t_max}")
         elif self.t_max > MAX_DAYS:
             problems.append(f"t_max exceeds the RNG counter capacity {MAX_DAYS}")
+        if not 0 <= self.seed < 2**64:
+            problems.append(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_runs < 1:
             problems.append(f"n_runs must be positive, got {self.n_runs}")
         elif self.n_runs > MAX_RUNS:
@@ -83,6 +85,3 @@ class ModelParams:
     def coupled(self) -> bool:
         """True when the daily reset rescale is active."""
         return self.mode in (Mode.RESET, Mode.SKEWED)
-
-    def with_(self, **changes) -> "ModelParams":
-        return replace(self, **changes)

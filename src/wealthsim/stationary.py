@@ -57,6 +57,10 @@ MIN_BAND_CELLS = 10
 #: largest possible eigenvalue (1, as no column of the band sums past it)
 SHIFT = 1.0 + 1e-6
 
+#: convergence tolerances of ``leading_eigenpair``: eigenvalue step, L1 vector step
+VALUE_TOL = 1e-10
+VECTOR_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LogGrid:
@@ -256,7 +260,6 @@ def _block_solve(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
-                      value_tol: float = 1e-10, vector_tol: float = 1e-8,
                       max_iter: int = 400000) -> Tuple[np.ndarray, List[np.ndarray], List[int]]:
     """Dominant eigenpairs by shift-invert (inverse) iteration.
 
@@ -282,8 +285,8 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     ``op.apply``: the total mass after one day for the leading mode, the
     ratio at the peak cell past it.
 
-    Converged when the eigenvalue estimate moves < ``value_tol`` AND the
-    normalized vector moves < ``vector_tol`` in L1 between iterations.
+    Converged when the eigenvalue estimate moves < VALUE_TOL AND the
+    normalized vector moves < VECTOR_TOL in L1 between iterations.
     The leading mode is returned with unit sum, its total mass. Modes past
     the first carry almost no net mass, so they keep the form the iteration
     gives them: unit L1 norm, largest-magnitude entry positive. Eigenvalues
@@ -327,7 +330,7 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
                 lam = aw[peak] / w[peak]
             dv = np.abs(w - v).sum()
             v = w
-            if abs(lam - lam_prev) < value_tol and dv < vector_tol:
+            if abs(lam - lam_prev) < VALUE_TOL and dv < VECTOR_TOL:
                 converged = True
                 break
             lam_prev = lam

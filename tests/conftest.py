@@ -32,7 +32,7 @@ def _schedule(with_window=False, series_stride=30):
     if with_window:
         exc0 = 600.0
         kwargs["histogram_edges"] = geometric_edges(exc0 * 1e-8, exc0 * 1e8, 160)
-        kwargs["histogram_windows"] = (LATE_WINDOW,)
+        kwargs["histogram_window"] = LATE_WINDOW
     return default_schedule(T_MAX, n_snapshots=75, series_stride=series_stride,
                             **kwargs)
 

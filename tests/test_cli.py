@@ -13,7 +13,7 @@ import pytest
 import wealthsim
 from wealthsim import analytics, cli, engine, stats
 from wealthsim.errors import ParameterError, ParseError
-from wealthsim.params import ModelParams
+from wealthsim.params import Mode, ModelParams
 from wealthsim.tableio import read_table
 
 BASE = """
@@ -168,6 +168,13 @@ def test_config_validates_itself_on_construction():
         dataclasses.replace(valid, n_runs=0)
 
 
+def test_config_accepts_the_mode_enum():
+    cfg = cli.ExperimentConfig(n_agents=60, beta=0.06, mode=Mode.RESET,
+                               t_max=400, seed=11)
+    assert cfg.mode is Mode.RESET
+    assert dataclasses.replace(cfg, mode=Mode.FREE).mode is Mode.FREE
+
+
 def test_params_hash_covers_physics_only():
     cfg = cli.parse_config(BASE)
     same = cli.parse_config(BASE + ("workers = 4\nout_dir = elsewhere\n"
@@ -185,7 +192,7 @@ def test_params_hash_covers_physics_only():
 def test_mode_spelling_does_not_change_the_hash():
     lower = cli.parse_config(BASE)
     upper = cli.parse_config(BASE.replace("mode = reset", "mode = Reset"))
-    assert upper.mode == "reset"
+    assert upper.mode is Mode.RESET
     assert upper == lower
     assert upper.params_hash() == lower.params_hash()
     assert upper.to_text() == lower.to_text()
@@ -230,10 +237,19 @@ def test_params_hash_covers_every_field_but_execution_keys(name):
     assert moved == (name not in EXECUTION_KEYS)
 
 
+def test_params_hash_is_pinned():
+    # the hashed text follows the field order, which inheritance from
+    # ModelParams now decides: a reordering would rename every export's hash
+    assert cli.parse_config(BASE).params_hash() == "f4b478bc1634"
+    assert SKEWED.params_hash() == "ffaf928aa897"
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelParams)])
 def test_model_params_carries_every_model_field(name):
-    assert getattr(changed(SKEWED, name).model_params(), name) \
-        != getattr(SKEWED.model_params(), name)
+    # each model key is ModelParams' own field, inherited and not restated
+    assert cli.ExperimentConfig.__dataclass_fields__[name] \
+        is ModelParams.__dataclass_fields__[name]
+    assert getattr(changed(SKEWED, name), name) != getattr(SKEWED, name)
 
 
 @pytest.mark.parametrize("value", ["runs/#3", "runs\n3", " runs", "runs\t"])
@@ -275,6 +291,15 @@ def test_bad_override_exits_2(tmp_path, capsys):
     assert "n_runs" in capsys.readouterr().err
 
 
+def test_seed_override_outside_64_bits_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE)
+    rc = cli.main(["simulate", "--config", path, "--seed", "-1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_analytic_domain_error_exits_3(tmp_path, capsys):
     # default k_list reaches k values > 2*n_agents: outside the envelope domain
     path = write_cfg(tmp_path, BASE)
@@ -313,8 +338,7 @@ def test_simulate_manifest_is_complete(sim_dir):
 
 def test_simulate_exports_match_engine_output(sim_dir, tmp_path):
     cfg = cli.parse_config(BASE)
-    records = engine.run(cfg.model_params(), cfg.schedule(with_histograms=True),
-                         workers=1)
+    records = engine.run(cfg, cfg.schedule(with_histograms=True), workers=1)
     rec = records[1]
     meta, header, cols = read_table(sim_dir / "series_run01.csv")
     assert meta["params_hash"] == cfg.params_hash()
@@ -338,9 +362,8 @@ def test_simulate_exports_match_engine_output(sim_dir, tmp_path):
 
 def test_window_histogram_round_trip(sim_dir):
     cfg = cli.parse_config(BASE)
-    records = engine.run(cfg.model_params(), cfg.schedule(with_histograms=True),
-                         workers=1)
-    hist = records[0].histograms[0]
+    records = engine.run(cfg, cfg.schedule(with_histograms=True), workers=1)
+    hist = records[0].histogram
     back = cli.read_histogram(str(sim_dir / "window_hist_run00.csv"))
     np.testing.assert_allclose(back.bin_edges, hist.bin_edges, rtol=0, atol=0)
     np.testing.assert_array_equal(back.counts, hist.counts)
@@ -409,7 +432,7 @@ def test_correlate_exports_flux_and_divide_report(tmp_path):
     assert n * n == fcols["raw"].size
     # matrix columns reproduce the in-memory flux matrix
     cfg = cli.parse_config(BASE)
-    rec = engine.run(cfg.model_params(), cfg.schedule(), workers=1)[1]
+    rec = engine.run(cfg, cfg.schedule(), workers=1)[1]
     fm = stats.flux_matrix(rec.rank_series, rec.rank_ids)
     np.testing.assert_array_equal(fcols["raw"], fm.A.ravel())
     np.testing.assert_array_equal(fcols["compressed"], fm.C.ravel())

@@ -15,6 +15,8 @@ from wealthsim import (
 )
 from wealthsim.errors import NormalizationDegenerate
 
+from conftest import LATE_WINDOW, N_AGENTS
+
 
 def small_params(**kw):
     base = dict(n_agents=50, beta=0.06, mode="reset", t_max=600, seed=7, n_runs=3)
@@ -119,11 +121,11 @@ def test_initial_tick_is_uniform_population():
         dict(snapshot_times=(10, 3)),
         dict(snapshot_times=(-1, 5)),
         dict(snapshot_times=(10,), series_stride=0),
-        dict(snapshot_times=(10,), histogram_windows=((0, 10),)),
+        dict(snapshot_times=(10,), histogram_window=(0, 10)),
         dict(snapshot_times=(10,), histogram_edges=(1.0, 2.0),
-             histogram_windows=((10, 10),)),
+             histogram_window=(10, 10)),
         dict(snapshot_times=(10,), histogram_edges=(1.0, 2.0),
-             histogram_windows=((-5, 3),)),
+             histogram_window=(-5, 3)),
     ],
 )
 def test_schedule_validation(kwargs):
@@ -167,20 +169,39 @@ def test_custom_rank_ids_are_honored():
     np.testing.assert_array_equal(rec.rank_series[0], rec.max_series)
 
 
-def test_windowed_histograms_accumulate_per_stride_tick():
+def _windowed_record(window):
     params = small_params(n_runs=1, t_max=120)
     edges = tuple(np.geomspace(1e-4, 1e7, 23))
-    sched = RecordingSchedule(
-        snapshot_times=(120,), series_stride=30,
-        histogram_edges=edges,
-        histogram_windows=((0, 61), (95, 100)),
-    )
-    rec = run(params, sched)[0]
-    h_early, h_empty = rec.histograms
-    # stride ticks 0, 30, 60 fall in [0, 61); none fall in [95, 100)
-    assert h_early.counts.sum() == 3 * 50
-    assert h_empty.counts.sum() == 0
-    assert h_early.window == (0, 61)
+    sched = RecordingSchedule(snapshot_times=(120,), series_stride=30,
+                              histogram_edges=edges, histogram_window=window)
+    return run(params, sched)[0]
+
+
+def test_windowed_histograms_accumulate_per_stride_tick():
+    hist = _windowed_record((0, 61)).histogram
+    # stride ticks 0, 30, 60 fall in [0, 61)
+    assert hist.counts.sum() == 3 * 50
+    assert hist.window == (0, 61)
+
+
+def test_window_without_stride_tick_stays_empty():
+    hist = _windowed_record((95, 100)).histogram
+    # no stride tick falls in [95, 100)
+    assert hist.counts.sum() == 0
+    assert hist.window == (95, 100)
+
+
+@pytest.mark.parametrize("fixture", ["reset_records", "skew30_records"])
+def test_reference_late_window_histograms(fixture, request):
+    # stride 5 puts ticks 40000, 40005, ..., 55000 in [40000, 55001)
+    for rec in request.getfixturevalue(fixture):
+        assert rec.histogram.window == LATE_WINDOW
+        assert rec.histogram.total == N_AGENTS * 3001
+
+
+def test_no_window_records_no_histogram():
+    rec = run(small_params(n_runs=1), default_schedule(600, n_snapshots=5))[0]
+    assert rec.histogram is None
 
 
 def test_max_log_excess_series():

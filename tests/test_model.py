@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wealthsim import (Ensemble, Mode, ModelParams, MultiplierLaw,
-                       NormalizationDegenerate, draw_multiplier,
-                       initial_ensemble, status, step_ensemble, step_free)
+import wealthsim
+from wealthsim import (Ensemble, Mode, ModelParams, NormalizationDegenerate,
+                       initial_ensemble, step_ensemble)
 from wealthsim.rng import stream_key, uniforms_for_day
 
 finite_wealth = st.floats(min_value=400.0, max_value=1e12,
                           exclude_min=True, allow_nan=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 def params(mode="reset", **overrides):
@@ -22,45 +23,46 @@ def params(mode="reset", **overrides):
     return ModelParams(**base)
 
 
+def step(wealth, u, mode="free", **overrides):
+    """Wealth after one ``step_ensemble`` day from ``wealth`` with draws ``u``."""
+    wealth = np.atleast_1d(np.asarray(wealth, dtype=np.float64))
+    p = params(mode, n_agents=wealth.size, **overrides)
+    u = np.broadcast_to(np.asarray(u, dtype=np.float64), wealth.shape)
+    return step_ensemble(Ensemble(t=0, wealth=wealth), p, u).wealth
+
+
+def test_every_public_name_resolves():
+    for name in wealthsim.__all__:
+        assert hasattr(wealthsim, name), name
+
+
 # --- status map -------------------------------------------------------------
 
 def test_status_anchor_points():
-    assert status(400.0, 1000.0, 400.0) == 0.0
-    assert status(1400.0, 1000.0, 400.0) == pytest.approx(0.5)
-    # status -> 1 for very large wealth
-    assert status(1e15, 1000.0, 400.0) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_status_elementwise():
-    w = np.array([400.0, 1400.0, 2400.0])
-    s = status(w, 1000.0, 400.0)
-    assert s.shape == (3,)
-    assert s[0] == 0.0 and s[1] == pytest.approx(0.5)
-    assert np.all(np.diff(s) > 0)
+    # with the uniform part at exactly 1 (u = 1/2) each agent's growth is
+    # c * (1 + epsilon * S(w)), with c the common reset factor. S is 0 at the
+    # floor, 1/2 at w1 + wp and -> 1 for large w, so against an agent just
+    # above the floor the growth ratios are 1 + epsilon/2 and 1 + epsilon.
+    # A floor at 0 keeps the tiny excesses exact in the returned wealth.
+    w = np.array([1e-9, 1000.0, 1e15])
+    growth = step(w, 0.5, "skewed", epsilon=-0.03, wp=0.0) / w
+    assert growth[1] / growth[0] == pytest.approx(1.0 - 0.015, rel=1e-10)
+    assert growth[2] / growth[0] == pytest.approx(1.0 - 0.03, rel=1e-10)
 
 
 # --- multiplier draws -------------------------------------------------------
 
 def test_draw_multiplier_endpoints():
-    law = MultiplierLaw(beta=0.06)
-    assert draw_multiplier(law, 0.0, 0.0) == pytest.approx(1.06)
-    assert draw_multiplier(law, 0.0, 1.0) == pytest.approx(0.94)
-    assert draw_multiplier(law, 0.0, 0.5) == pytest.approx(1.0)
-
-
-def test_draw_multiplier_skew_scales_mean():
-    law = MultiplierLaw(beta=0.06, epsilon=-0.03, status_hook=True)
-    # at u=0.5 the uniform part is exactly 1, leaving the pure status factor
-    assert draw_multiplier(law, 1.0, 0.5) == pytest.approx(0.97)
-    assert draw_multiplier(law, 0.0, 0.5) == pytest.approx(1.0)
+    # free mode, everyone at w1: the excess of 600 is scaled by 1 + beta (1 - 2u)
+    lam = (step(np.full(3, 1000.0), [0.0, 1.0, 0.5]) - 400.0) / 600.0
+    assert lam == pytest.approx([1.06, 0.94, 1.0], rel=1e-15)
 
 
 def test_draw_moments_match_uniform_law():
-    # empirical mean/std of draws must match the uniform law within 5 sigma
-    law = MultiplierLaw(beta=0.06)
-    key = stream_key(555)
-    u = np.concatenate([uniforms_for_day(key, 0, t, 10000) for t in range(20)])
-    lam = np.array([draw_multiplier(law, 0.0, ui) for ui in u[:20000]])
+    # empirical mean/std of the multipliers must match the uniform law within 5 sigma
+    p = params("free", n_agents=20000)
+    u = uniforms_for_day(stream_key(555), 0, 0, p.n_agents)
+    lam = (step_ensemble(initial_ensemble(p), p, u).wealth - 400.0) / 600.0
     n = lam.size
     sd = 0.06 / math.sqrt(3.0)  # std of U(1-b, 1+b)
     assert abs(lam.mean() - 1.0) < 5.0 * sd / math.sqrt(n)
@@ -70,27 +72,33 @@ def test_draw_moments_match_uniform_law():
 # --- free step --------------------------------------------------------------
 
 def test_step_free_scalar_and_floor_fixed_point():
-    assert step_free(400.0, 0.94, 400.0) == 400.0  # the floor never moves
-    assert step_free(1000.0, 1.06, 400.0) == pytest.approx(1036.0)
+    stepped = step([400.0, 1000.0], [1.0, 0.0])
+    assert stepped[0] == 400.0  # the floor never moves
+    assert stepped[1] == pytest.approx(1036.0)
 
 
-@given(w=finite_wealth, u=st.floats(min_value=0.0, max_value=1.0))
+@given(w=st.lists(st.one_of(st.just(400.0), finite_wealth), min_size=1, max_size=8),
+       u=unit)
 @settings(max_examples=200, deadline=None)
 def test_step_free_never_crosses_floor(w, u):
-    lam = draw_multiplier(MultiplierLaw(beta=0.06), 0.0, u)
-    assert step_free(w, lam, 400.0) >= 400.0
+    # the floor is a fixed point and no agent steps below it
+    w = np.array(w)
+    stepped = step(w, u)
+    assert np.all(stepped >= 400.0)
+    assert np.all(stepped[w == 400.0] == 400.0)
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3),
-       u=st.floats(min_value=0.0, max_value=1.0))
+       w=st.lists(finite_wealth, min_size=1, max_size=8), u=unit)
 @settings(max_examples=100, deadline=None)
-def test_free_step_excess_scale_covariance(scale, u):
-    # the free update is linear in the excess: scaling the excess scales the result
-    lam = draw_multiplier(MultiplierLaw(beta=0.06), 0.0, u)
-    w = 400.0 + 250.0
-    scaled = 400.0 + 250.0 * scale
-    base = step_free(w, lam, 400.0) - 400.0
-    assert step_free(scaled, lam, 400.0) - 400.0 == pytest.approx(base * scale, rel=1e-12)
+def test_free_step_excess_scale_covariance(scale, w, u):
+    # the free update is linear in the excess: scaling the excess scales the
+    # result. With the floor at 0 the wealth is the excess, so the rounding
+    # of wp + excess cannot hide a departure.
+    excess = np.array(w) - 400.0
+    base = step(excess, u, wp=0.0)
+    scaled = step(excess * scale, u, wp=0.0)
+    np.testing.assert_allclose(scaled, base * scale, rtol=1e-12)
 
 
 # --- full ensemble step -----------------------------------------------------

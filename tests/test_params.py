@@ -76,8 +76,14 @@ def test_skewed_epsilon_zero_allowed():
     assert p.coupled
 
 
-def test_with_replaces_and_revalidates():
-    p = good()
-    assert p.with_(seed=7).seed == 7
-    with pytest.raises(ParameterError):
-        p.with_(beta=1.5)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # the RNG keys on the seed's low 64 bits: outside [0, 2**64) two seeds
+    # would give the same data under different hashes
+    with pytest.raises(ParameterError, match="seed"):
+        good(seed=seed)
+
+
+def test_seed_range_ends_accepted():
+    assert good(seed=0).seed == 0
+    assert good(seed=2**64 - 1).seed == 2**64 - 1
