@@ -1,11 +1,16 @@
 """Kernel backend selection.
 
 The day loop runs in ``_kernel.c`` when it can be built: on first import the
-system C compiler turns it into a shared library in this package's
-``__pycache__/``, named by a hash of the source and the compile command, and
-``ctypes`` loads it (and releases the GIL for each call). Without a compiler,
-or if the build or the load fails, a warning names the cause and the numpy
-kernel of ``_kernels_py`` runs instead.
+system C compiler turns it into a shared library for the host CPU
+(``-march=native``) in this package's ``__pycache__/``, named by a hash of the
+source, the compile command and the CPU's identity (the first ``flags`` line
+of ``/proc/cpuinfo``), so a shared cache never hands one CPU a library built
+for another. ``ctypes`` loads it and releases the GIL for each call. If the
+native build or load fails, the kernel is built once more without
+``-march=native``; ``compile_command`` holds the command that built the loaded
+library. Without a compiler, or if that retry fails too, a warning names the
+cause and the numpy kernel of ``_kernels_py`` runs instead
+(``compile_command`` is then ``None``).
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ _SOURCE = os.path.join(_HERE, "_kernel.c")
 _CACHE = os.path.join(_HERE, "__pycache__")
 
 _CC = "cc"
-# No -ffast-math or -march=native: contracted or reassociated arithmetic
-# would break free mode's bit identity with the numpy kernel.
+_NATIVE = "-march=native"
+# No -ffast-math: contracted or reassociated arithmetic would break free
+# mode's bit identity with the numpy kernel.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC",
            f"-DGOLDEN={GOLDEN:#x}u", f"-DMIX1={MIX1:#x}u", f"-DMIX2={MIX2:#x}u",
            f"-DRUN_SHIFT={RUN_SHIFT}", f"-DT_SHIFT={T_SHIFT}")
@@ -46,12 +52,25 @@ _ARGTYPES = (
 )
 
 
-def _build() -> str:
-    """Path of the compiled kernel, compiling it if the cache lacks it."""
-    cmd = [_CC, *_CFLAGS]
+def _cpu_identity() -> str:
+    """The first ``flags`` line of ``/proc/cpuinfo``, or "" if unreadable."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
+            return next((line for line in fh if line.startswith("flags")), "")
+    except OSError:
+        return ""
+
+
+def _library_path(cmd, cpu: str) -> str:
+    """Cache path of the library that ``cmd`` builds on the CPU ``cpu``."""
     with open(_SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read() + "\0".join(cmd).encode())
-    lib = os.path.join(_CACHE, f"_kernel.{digest.hexdigest()[:16]}.so")
+        digest = hashlib.sha256(fh.read() + "\0".join([*cmd, cpu]).encode())
+    return os.path.join(_CACHE, f"_kernel.{digest.hexdigest()[:16]}.so")
+
+
+def _build(cmd) -> str:
+    """Path of the kernel that ``cmd`` compiles, compiling it if not cached."""
+    lib = _library_path(cmd, _cpu_identity())
     if os.path.exists(lib):
         return lib
     os.makedirs(_CACHE, exist_ok=True)
@@ -67,9 +86,10 @@ def _build() -> str:
     return lib
 
 
-def _load():
-    """The C kernel as an ``advance`` with the numpy kernel's signature."""
-    fn = ctypes.CDLL(_build()).advance
+def _load(cmd):
+    """The kernel that ``cmd`` compiles, as an ``advance`` with the numpy
+    kernel's signature and a ``compile_command`` attribute."""
+    fn = ctypes.CDLL(_build(cmd)).advance
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int64
 
@@ -84,21 +104,26 @@ def _load():
         if bad_t >= 0:
             raise NormalizationDegenerate(bad_total.value, degen, t=bad_t)
 
+    advance.compile_command = tuple(cmd)
     return advance
 
 
 def _select():
-    """(name, advance) of the C kernel, or of the numpy kernel if C fails."""
-    try:
-        return "c", _load()
-    except (OSError, subprocess.CalledProcessError) as exc:
-        cause = getattr(exc, "stderr", None) or exc
-        warnings.warn(f"C kernel unavailable, using the numpy kernel: {cause}",
-                      RuntimeWarning, stacklevel=2)
-        return "python", _kernels_py.advance
+    """(name, advance) of the C kernel, built for the host CPU or else
+    portably, or of the numpy kernel if neither build loads."""
+    for cmd in ([_CC, _NATIVE, *_CFLAGS], [_CC, *_CFLAGS]):
+        try:
+            return "c", _load(cmd)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            failure = exc
+    cause = getattr(failure, "stderr", None) or failure
+    warnings.warn(f"C kernel unavailable, using the numpy kernel: {cause}",
+                  RuntimeWarning, stacklevel=2)
+    return "python", _kernels_py.advance
 
 
 backend_name, advance = _select()
+compile_command = getattr(advance, "compile_command", None)
 
 
 def available():

@@ -2,8 +2,8 @@
 
 Free-mode trajectories must agree bit for bit (no reductions involved).
 Coupled modes renormalize by a population sum that the two kernels
-accumulate in different orders (compensated scalar loop vs numpy pairwise),
-so those trajectories agree to float roundoff rather than exactly.
+accumulate in different orders (16 compensated lanes vs numpy pairwise), so
+those trajectories agree to float roundoff rather than exactly.
 """
 
 import numpy as np
@@ -20,12 +20,15 @@ needs_both = pytest.mark.skipif(
 
 KEY = stream_key(99)
 N = 257  # odd, not a power of two: exercises pairwise-sum tail handling
+MODES = {"free": dict(epsilon=0.0, skewed=False, coupled=False),
+         "reset": dict(epsilon=0.0, skewed=False, coupled=True),
+         "skewed": dict(epsilon=-0.015, skewed=True, coupled=True)}
 
 
 def _advance(name, excess, *, beta=0.06, epsilon=0.0, skewed=False,
-             coupled=False, run=1, t0=0, days=400):
+             coupled=False, run=1, t0=0, days=400, target=None):
     fn = backends.available()[name]
-    target = excess.sum()
+    target = excess.sum() if target is None else target
     fn(excess, KEY, run, t0, days, beta, epsilon, 1000.0, skewed, coupled, target)
     return excess
 
@@ -64,14 +67,60 @@ def test_skewed_mode_matches_to_roundoff():
 
 
 @needs_both
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 33])
+@pytest.mark.parametrize("mode", ["reset", "skewed"])
+def test_coupled_modes_match_to_roundoff_for_any_lane_tail(mode, n):
+    # The C kernel sums the total in 16 lanes: fewer agents than lanes, an
+    # exact multiple of the lane count and remainders must all add up.
+    a = _advance("python", np.full(n, 600.0), **MODES[mode])
+    b = _advance("c", np.full(n, 600.0), **MODES[mode])
+    np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("name", sorted(backends.available()))
+def test_call_boundaries_do_not_change_the_trajectory(name, mode):
+    # The C kernel carries the pending rescale from one day into the next and
+    # settles it before returning; splitting the days over calls must give
+    # the same bits as one call.
+    target = 600.0 * N
+    whole = _advance(name, np.full(N, 600.0), days=12, target=target,
+                     **MODES[mode])
+    split = np.full(N, 600.0)
+    for t0, days in ((0, 5), (5, 1), (6, 6)):
+        _advance(name, split, t0=t0, days=days, target=target, **MODES[mode])
+    np.testing.assert_array_equal(whole, split)
+
+
+def _degenerate(name, excess, days, target):
+    with pytest.raises(NormalizationDegenerate) as ei:
+        backends.available()[name](
+            excess, KEY, 0, 0, days, 0.06, 0.0, 1000.0, False, True, target)
+    return excess, ei.value
+
+
+@needs_both
 def test_both_backends_flag_degenerate_totals():
+    left = {}
     for name in ("python", "c"):
-        excess = np.full(N, 1e-305)
-        with pytest.raises(NormalizationDegenerate) as ei:
-            backends.available()[name](
-                excess, KEY, 0, 0, 5, 0.06, 0.0, 1000.0, False, True,
-                600.0 * N)
-        assert ei.value.t == 0
+        left[name] = _degenerate(name, np.full(N, 1e-305), 5, 600.0 * N)
+        assert left[name][1].t == 0
+    (a, exc_a), (b, exc_b) = left["python"], left["c"]
+    np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
+    np.testing.assert_allclose(exc_a.total, exc_b.total, rtol=5e-13, atol=0.0)
+
+
+@needs_both
+def test_degenerate_day_after_a_rescale_leaves_the_same_vector():
+    # A negative target flips the sign at day 0's rescale, so day 1's total
+    # lies below the (negative) threshold: the day-0 rescale must have been
+    # applied, and day 1 left unrescaled, by both kernels alike.
+    left = {name: _degenerate(name, np.full(N, 600.0), 5, -1.0)
+            for name in ("python", "c")}
+    (a, exc_a), (b, exc_b) = left["python"], left["c"]
+    assert exc_a.t == exc_b.t == 1
+    np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
+    np.testing.assert_allclose(exc_a.total, exc_b.total, rtol=5e-13, atol=0.0)
 
 
 def test_selected_backend_is_reported():
@@ -84,3 +133,31 @@ def test_missing_compiler_falls_back_to_numpy_loudly(monkeypatch):
     with pytest.warns(RuntimeWarning, match="numpy kernel"):
         name, advance = backends._select()
     assert (name, advance) == ("python", _kernels_py.advance)
+
+
+def test_compile_command_names_the_loaded_build():
+    if backends.backend_name == "c":
+        assert backends.compile_command == backends.advance.compile_command
+        assert "-ffp-contract=off" in backends.compile_command
+    else:
+        assert backends.compile_command is None
+
+
+def test_cpu_identity_is_part_of_the_library_name():
+    cmd = [backends._CC, backends._NATIVE, *backends._CFLAGS]
+    one = backends._library_path(cmd, "flags\t\t: fpu sse2 avx2")
+    assert one == backends._library_path(cmd, "flags\t\t: fpu sse2 avx2")
+    assert one != backends._library_path(cmd, "flags\t\t: fpu sse2 avx512f")
+    assert one != backends._library_path(cmd, "")
+
+
+@pytest.mark.skipif(backends.backend_name != "c", reason="C kernel not built")
+def test_unsupported_native_flag_falls_back_to_a_portable_build(monkeypatch):
+    monkeypatch.setattr(backends, "_NATIVE", "-march=wealthsim-no-such-cpu")
+    name, advance = backends._select()
+    assert name == "c"
+    assert not any(f.startswith("-march") for f in advance.compile_command)
+    monkeypatch.setattr(backends, "advance", advance)
+    a = _advance("python", np.full(N, 600.0))
+    b = _advance("c", np.full(N, 600.0))
+    np.testing.assert_array_equal(a, b)
