@@ -355,7 +355,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
                      [np.arange(1, cfg.n_agents + 1)] + rec.sorted_snapshots,
                      "rank=1-based sorted position, t*=currency", run=str(r))
         if cfg.export_histograms:
-            counts = [stats.bin_excess(edges, snap - cfg.wp)
+            # snap descends and subtracting wp rounds monotonically: reversed, it ascends
+            counts = [stats.bin_excess(edges, (snap - cfg.wp)[::-1])
                       for snap in rec.sorted_snapshots]
             ex.table(f"hist_run{r:02d}.csv", "histogram",
                      ["t", "bin_lo", "bin_hi", "count"],

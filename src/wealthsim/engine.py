@@ -10,6 +10,9 @@ kernel backend and records observables at two granularities:
 Optionally, an excess-wealth histogram is accumulated on the fly at every
 stride tick inside one configured time window — full vectors are only kept
 at the sparse snapshot times, so the windowed histogram has to be streamed.
+Each event sorts the excess vector once: the snapshot, the series and the
+histogram (binned by ``stats.bin_excess``, which needs ascending input) all
+read that one sort.
 
 Because every random draw is a pure function of (seed, run, t, agent),
 records are bit-identical however the runs are scheduled: serially, or in a
@@ -177,14 +180,15 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
                 raise NormalizationDegenerate(exc.total, exc.threshold,
                                               run_id=run_id, t=exc.t) from None
             t_now = int(t_ev)
-        desc = np.sort(excess)[::-1] + params.wp
+        asc = np.sort(excess)
+        desc = asc[::-1] + params.wp
         if is_tick[ev_idx]:
             mean_series[tick_pos] = params.wp + excess.mean()
             max_series[tick_pos] = desc[0]
             gini_series[tick_pos] = stats._gini_sorted(desc[::-1])
             rank_series[:, tick_pos] = desc[rank_ids - 1]
             if window is not None and window[0] <= t_ev < window[1]:
-                hist_counts += stats.bin_excess(edges, excess)
+                hist_counts += stats.bin_excess(edges, asc)
             tick_pos += 1
         if is_snap[ev_idx]:
             sorted_snapshots.append(desc.copy())

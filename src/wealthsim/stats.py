@@ -86,10 +86,22 @@ def geometric_edges(lo: float, hi: float, n_bins: int) -> np.ndarray:
     return np.geomspace(lo, hi, n_bins + 1)
 
 
-def bin_excess(edges: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """Counts (len(edges)+1) of one excess vector, incl. open end bins."""
-    idx = np.searchsorted(edges, excess, side="right")
-    return np.bincount(idx, minlength=edges.size + 1)
+def bin_excess(edges: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """Counts (len(edges)+1) of one ascending excess vector, incl. open end bins.
+
+    ``ascending`` must be sorted as ``np.sort`` sorts (nan last); the counts
+    then come from one binary search per edge rather than one per value.
+    Raises ValueError for an unsorted vector, which would be miscounted.
+    """
+    ascending = np.asarray(ascending)
+    nan_or_ordered = (ascending[:-1] <= ascending[1:]) | np.isnan(ascending[1:])
+    if not nan_or_ordered.all():
+        raise ValueError("bin_excess needs an ascending vector")
+    # below[k] values lie under edges[k - 1]; the outer entries close the open bins
+    below = np.empty(edges.size + 2, dtype=np.intp)
+    below[0], below[-1] = 0, ascending.size
+    below[1:-1] = np.searchsorted(ascending, edges, side="left")
+    return np.diff(below)
 
 
 def log_histogram(snapshots, edges, wp: float = 0.0, window=None) -> LogHistogram:
@@ -98,7 +110,7 @@ def log_histogram(snapshots, edges, wp: float = 0.0, window=None) -> LogHistogra
     counts = np.zeros(edges.size + 1, dtype=np.int64)
     empty = True
     for snap in snapshots:
-        counts += bin_excess(edges, np.asarray(snap, dtype=np.float64) - wp)
+        counts += bin_excess(edges, np.sort(np.asarray(snap, dtype=np.float64) - wp))
         empty = False
     if empty:
         raise DegenerateInput("histogram window contains no snapshots")
@@ -142,6 +154,10 @@ def flux_matrix(rank_series: np.ndarray, ranks=None) -> FluxMatrix:
     """Accumulate the increment-product matrix of a sorted-rank wealth series.
 
     ``rank_series`` is (n_ranks, n_times) with at least two time points.
+    The Gram matrix is summed by ``np.einsum``, which never calls BLAS nor
+    its thread pool: a BLAS product sums in an order set by the pool's
+    size, so its last bits would follow ``OPENBLAS_NUM_THREADS``, and the
+    pool left some processes ~10x slower on this small product.
     """
     series = np.asarray(rank_series, dtype=np.float64)
     if series.ndim != 2 or series.shape[1] < 2:
@@ -154,7 +170,7 @@ def flux_matrix(rank_series: np.ndarray, ranks=None) -> FluxMatrix:
     if np.any(np.diff(ranks) <= 0):
         raise ValueError("ranks must be strictly increasing")
     deltas = np.diff(series, axis=1)
-    a = deltas @ deltas.T
+    a = np.einsum("ik,jk->ij", deltas, deltas)
     return FluxMatrix(ranks=ranks, A=a)
 
 

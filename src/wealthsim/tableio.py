@@ -80,8 +80,9 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
                     metadata: Dict[str, str]) -> None:
     """Refuse what read_table could not return intact: it splits lines at
     commas, strips header names and metadata, ends a metadata key at the
-    first ':', keys columns by name, and skips blank lines and lines
-    starting with '#'."""
+    first ':', keys columns by name, skips blank lines and lines starting
+    with '#', and reads a column whose cells all look like numbers as a
+    numeric column."""
     line = ",".join(header)
     if not line.strip() or line.startswith("#"):
         raise ValueError(f"header {header!r} would read as a blank or comment line")
@@ -108,6 +109,8 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
             raise ValueError(f"first column {name!r} has a cell starting with '#'")
         if len(cols) == 1 and any(not v.strip() for v in c.tolist()):
             raise ValueError(f"one-column table {name!r} has a blank cell")
+        if c.size and _typed_column(c.tolist()).dtype.kind != "U":
+            raise ValueError(f"str column {name!r} would read back as numbers")
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
@@ -181,14 +184,20 @@ def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:
     if problems:
         raise ParseError(problems)
 
-    columns: Dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        cells = [r[j] for r in rows]
-        if cells and all(_INT_RE.match(c) for c in cells):
-            columns[name] = np.array([int(c) for c in cells], dtype=np.int64)
-        else:
-            try:
-                columns[name] = np.array([float(c) for c in cells], dtype=np.float64)
-            except ValueError:
-                columns[name] = np.array(cells, dtype=str)
+    columns = {name: _typed_column([r[j] for r in rows]) for j, name in enumerate(header)}
     return metadata, header, columns
+
+
+def _typed_column(cells: List[str]) -> np.ndarray:
+    """A column as read_table types it: int64 when every cell is a plain
+    integer literal, else float64 when every cell parses as a float, else str.
+    Raises ParseError for integer literals outside int64."""
+    if cells and all(_INT_RE.match(c) for c in cells):
+        try:
+            return np.array([int(c) for c in cells], dtype=np.int64)
+        except OverflowError:
+            raise ParseError(["integer column holds a value outside int64"]) from None
+    try:
+        return np.array([float(c) for c in cells], dtype=np.float64)
+    except ValueError:
+        return np.array(cells, dtype=str)

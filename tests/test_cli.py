@@ -526,6 +526,24 @@ def test_stationary_solve_does_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_flux_export_does_not_depend_on_blas_threads(tmp_path):
+    # a BLAS Gram matrix sums in an order set by OpenBLAS's thread count;
+    # ~100 ranks x 500 ticks is large enough for OpenBLAS to split it
+    path = write_cfg(tmp_path, "n_agents = 500\nbeta = 0.06\nmode = reset\n"
+                               "t_max = 2500\nseed = 11\nseries_stride = 5\n"
+                               "export_snapshots = false\nexport_histograms = false\n")
+    exports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = subprocess.run([sys.executable, "-m", "wealthsim.cli", "simulate",
+                               "--config", path, "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**child_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        exports.append((out / "flux_run00.csv").read_bytes())
+    assert exports[0] == exports[1]
+
+
 # --- console entry point ----------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -90,10 +90,42 @@ def test_two_identical_snapshots_double_counts():
 
 def test_open_bins_catch_out_of_range():
     edges = geometric_edges(10.0, 100.0, 5)
-    counts = bin_excess(edges, np.array([1.0, 5.0, 50.0, 500.0, 5000.0]))
+    counts = bin_excess(edges, np.array([1.0, 5.0, 50.0, 500.0, 5000.0]))  # ascending
     assert counts[0] == 2      # below the first edge
     assert counts[-1] == 2     # at or above the last edge
     assert counts.sum() == 5   # nothing dropped
+
+
+def per_value_bins(edges, x):
+    """The binning bin_excess replaced: one search per value, any order."""
+    return np.bincount(np.searchsorted(edges, x, side="right"), minlength=edges.size + 1)
+
+
+BIN_EDGES = geometric_edges(1e-3, 1e3, 12)
+# values on an edge and one ulp either side of it; zeros, the smallest subnormal,
+# 1e308, the infinities and nan
+EDGE_HITS = [v for e in BIN_EDGES
+             for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+AWKWARD_EXCESS = EDGE_HITS + [0.0, -0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan]
+
+
+@example([])
+@example([1.0])
+@example([BIN_EDGES[3]])
+@given(st.lists(st.one_of(st.sampled_from(AWKWARD_EXCESS), st.floats(width=64)),
+                max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_sorted_binning_matches_per_value_search(xs):
+    x = np.array(xs, dtype=np.float64)
+    assert np.array_equal(bin_excess(BIN_EDGES, np.sort(x)), per_value_bins(BIN_EDGES, x))
+
+
+@pytest.mark.parametrize("x", [[2.0, 1.0], [0.0, 5.0, 4.0, 9.0], [1.0, np.nan, 0.5],
+                               [np.nan, 1.0]],
+                         ids=["descending", "one-step-down", "nan-inside", "nan-first"])
+def test_unsorted_excess_is_refused(x):
+    with pytest.raises(ValueError):
+        bin_excess(BIN_EDGES, np.array(x))
 
 
 def test_histogram_validation():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hyp
 
 from wealthsim.errors import ParseError
@@ -91,6 +91,13 @@ def test_reader_reports_ragged_rows_with_line_numbers(tmp_path):
     assert "line 5" in msgs[1] and "got 3" in msgs[1]
 
 
+def test_reader_reports_integers_outside_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x\n1\n99999999999999999999\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        read_table(path)
+
+
 def test_reader_requires_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# only: metadata\n\n", encoding="utf-8")
@@ -159,7 +166,18 @@ def tables(draw):
         pool = np.array(draw(hyp.lists(cells, min_size=1, max_size=8)),
                         dtype=str if kind == "str" else kind)
         columns.append(pool[rng.integers(pool.size, size=n)])
+        if kind == "str":  # nor a str column that would read back as numbers
+            assume(not reads_as_numbers(columns[-1].tolist()))
     return [f"c{j}" for j in range(len(kinds))], columns
+
+
+def reads_as_numbers(cells):
+    """read_table types a column as numeric when every cell parses as a float."""
+    try:
+        [float(c) for c in cells]
+    except ValueError:
+        return False
+    return bool(cells)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,6 +217,15 @@ def test_write_table_matches_the_cell_by_cell_writer(tmp_path_factory, table):
                  id="comment-first-object-cell"),
     pytest.param(["name"], [np.array(["a", ""])], {}, id="empty-one-column-cell"),
     pytest.param(["name"], [np.array(["a", " \t"])], {}, id="blank-one-column-cell"),
+    # a str column whose cells all parse as numbers reads back as numbers
+    pytest.param(["name"], [np.array(["1", " 2.5"])], {}, id="numeric-str-column"),
+    pytest.param(["name"], [np.array(["nan"])], {}, id="nan-str-cell"),
+    pytest.param(["name", "x"], [np.array(["1_0", "-inf"]), np.arange(2)], {},
+                 id="underscore-and-inf-str-cells"),
+    pytest.param(["x", "name"], [np.arange(2), np.array([2.5, "3"], dtype=object)], {},
+                 id="numeric-object-str-cell"),
+    pytest.param(["name"], [np.array(["99999999999999999999"])], {},
+                 id="int64-overflow-str-cell"),
 ])
 def test_unreadable_tables_are_refused_before_the_file_opens(tmp_path, header,
                                                               columns, metadata):
