@@ -1,7 +1,8 @@
-/* Compiled day loop: the same update as _kernels_py.advance, in C.
+/* Compiled day loop and CSV row formatter.
  *
- * backends.py compiles this file for the host CPU and defines GOLDEN, MIX1,
- * MIX2, RUN_SHIFT and T_SHIFT on the command line from wealthsim.rng, so the
+ * advance is the same update as _kernels_py.advance, in C. backends.py
+ * compiles this file for the host CPU and defines GOLDEN, MIX1, MIX2,
+ * RUN_SHIFT and T_SHIFT on the command line from wealthsim.rng, so the
  * counter layout has a single source. The draws and the per-element update
  * order match the numpy kernel, which makes free mode agree bit for bit;
  * that needs the build to forbid contracting a*b+c into a fused multiply-add
@@ -15,8 +16,17 @@
  * ((x * lam_t) * g_t) * lam_t+1, rounded step by step as in the numpy
  * kernel; only the order in which the total is summed differs, so coupled
  * modes agree with numpy to roundoff.
+ *
+ * format_rows writes int64 and float64 columns as the CSV lines that
+ * tableio.format_value defines, cell for cell. A float's 17 significant
+ * digits come from its exact value m * 2^e in integer arithmetic, rounded
+ * half to even as Python's '%.17g' rounds them (the exact-integer approach
+ * of float printers such as Adams, "Ryu: fast float-to-string conversion",
+ * PLDI 2018): unsigned __int128 covers 2^-19 <= |v| < 2^127, and 64-bit
+ * limbs cover the rest. No printf: its decimal point follows LC_NUMERIC.
  */
 #include <stdint.h>
+#include <string.h>
 
 /* 16 lanes fill two 512-bit vectors. On an AVX-512 host GCC 12 splits an
  * 8-lane block into 256-bit halves, and the coupled day runs ~1.6x slower. */
@@ -102,4 +112,241 @@ int64_t advance(double *excess, int64_t n, uint64_t key, uint64_t run,
     for (int64_t j = 0; j < n; j++)
         excess[j] *= g;
     return -1;
+}
+
+
+/* ---- CSV rows ---- */
+
+typedef unsigned __int128 u128;
+
+/* The longest cell format_rows writes, with its separator:
+ * "-2.2250738585072014e-308," (an int64 takes at most 21). */
+const int64_t cell_bytes = 25;
+
+static const uint64_t POW10[20] = {
+    1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull,
+    10000000ull, 100000000ull, 1000000000ull, 10000000000ull,
+    100000000000ull, 1000000000000ull, 10000000000000ull,
+    100000000000000ull, 1000000000000000ull, 10000000000000000ull,
+    100000000000000000ull, 1000000000000000000ull,
+    10000000000000000000ull,
+};
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+#define TEN16 POW10[16]
+#define TEN17 POW10[17]
+
+/* What a truncated quotient dropped, against half a unit of its last digit. */
+enum { EXACT, BELOW_HALF, HALF, ABOVE_HALF };
+
+static int classify(u128 rest, u128 half)
+{
+    return rest == 0 ? EXACT : rest < half ? BELOW_HALF
+         : rest == half ? HALF : ABOVE_HALF;
+}
+
+/* floor(m * 10^j / 2^s) for m < 2^53, j >= 1, s >= 1; *rest classifies the
+ * bits shifted out. */
+static uint64_t scale_up(uint64_t m, int j, int s, int *rest)
+{
+    if (j <= 22) { /* then |v| >= 2^-19, so s <= 71, and m * 10^j < 2^127 */
+        u128 n = (u128)m * POW10[j < 19 ? j : 19];
+        if (j > 19)
+            n *= POW10[j - 19];
+        *rest = classify(n & (((u128)1 << s) - 1), (u128)1 << (s - 1));
+        return (uint64_t)(n >> s);
+    }
+    /* m * 10^j < 2^1187 in 64-bit limbs, least significant first */
+    uint64_t n[20] = {m};
+    int len = 1;
+    for (int left = j; left > 0; left -= 19) {
+        uint64_t f = POW10[left < 19 ? left : 19], carry = 0;
+        for (int i = 0; i < len; i++) {
+            u128 p = (u128)n[i] * f + carry;
+            n[i] = (uint64_t)p;
+            carry = (uint64_t)(p >> 64);
+        }
+        if (carry)
+            n[len++] = carry;
+    }
+    int w = s / 64, b = s % 64, h = (s - 1) / 64, hb = (s - 1) % 64;
+    uint64_t q = n[w] >> b;
+    if (b && w + 1 < len)
+        q |= n[w + 1] << (64 - b);
+    uint64_t low = n[h] & ((1ull << hb) - 1);
+    for (int i = 0; i < h; i++)
+        low |= n[i];
+    *rest = n[h] >> hb & 1 ? (low ? ABOVE_HALF : HALF) : (low ? BELOW_HALF : EXACT);
+    return q;
+}
+
+/* floor(m * 2^e / 10^k) for m < 2^53, e >= 1, k >= 0; *rest classifies the
+ * remainder. */
+static uint64_t scale_down(uint64_t m, int e, int k, int *rest)
+{
+    if (e <= 74) { /* then m * 2^e < 2^127, so k <= 22 */
+        u128 n = (u128)m << e, d = (u128)POW10[k < 19 ? k : 19];
+        if (k > 19)
+            d *= POW10[k - 19];
+        u128 q = n / d;
+        *rest = classify(n - q * d, d / 2);
+        return (uint64_t)q;
+    }
+    /* m * 2^e < 2^1024 in 64-bit limbs, divided by 10^k in steps of at
+     * most 10^19. The last step's divisor f is even, so its remainder r
+     * against f / 2, with whether any earlier step left a remainder, says
+     * where the whole remainder lies against 10^k / 2. */
+    uint64_t n[17] = {0}, r = 0, f = 1;
+    int len = e / 64 + 2, earlier = 0;
+    n[e / 64] = m << (e % 64);
+    if (e % 64)
+        n[e / 64 + 1] = m >> (64 - e % 64);
+    for (int left = k; left > 0; left -= 19) {
+        earlier |= r != 0;
+        f = POW10[left < 19 ? left : 19];
+        r = 0;
+        for (int i = len - 1; i >= 0; i--) {
+            u128 cur = (u128)r << 64 | n[i];
+            n[i] = (uint64_t)(cur / f);
+            r = (uint64_t)(cur % f);
+        }
+    }
+    *rest = r < f / 2 ? (r || earlier ? BELOW_HALF : EXACT)
+          : r == f / 2 ? (earlier ? ABOVE_HALF : HALF) : ABOVE_HALF;
+    return n[0];
+}
+
+/* The 17 significant digits of the finite, positive double with IEEE bits
+ * `bits`, rounded half to even, as an integer in [10^16, 10^17); *exp10 is
+ * the decimal exponent of the first digit. */
+static uint64_t digits17(uint64_t bits, int *exp10)
+{
+    int biased = (int)(bits >> 52);
+    uint64_t m = bits & ((1ull << 52) - 1);
+    int e = biased ? biased - 1075 : -1074;
+    if (biased)
+        m |= 1ull << 52;
+    /* floor(log10 v) is x or x + 1 for x = floor(floor(log2 v) * log10 2),
+     * which 78913 / 2^18 gives exactly over the whole double range */
+    int x = ((63 - __builtin_clzll(m) + e) * 78913) >> 18, rest = EXACT;
+    uint64_t q;
+    if (x >= 16)
+        q = scale_down(m, e, x - 16, &rest);
+    else if (e >= 0) /* an integer below 2^54, so x is 15 */
+        q = (m << e) * POW10[16 - x];
+    else
+        q = scale_up(m, 16 - x, -e, &rest);
+    if (q >= TEN17) { /* 18 digits: floor(log10 v) is x + 1 */
+        int d = (int)(q % 10);
+        q /= 10;
+        x++;
+        rest = d > 5 ? ABOVE_HALF : d == 5 ? (rest ? ABOVE_HALF : HALF)
+             : d || rest ? BELOW_HALF : EXACT;
+    }
+    q += rest == ABOVE_HALF || (rest == HALF && q & 1);
+    if (q == TEN17) { /* rounded up into the next decade */
+        q = TEN16;
+        x++;
+    }
+    *exp10 = x;
+    return q;
+}
+
+static char *put(char *p, const char *s, size_t n)
+{
+    memcpy(p, s, n);
+    return p + n;
+}
+
+/* A float64 cell as format_value writes it: '%.17g', then '.0' if that
+ * printed a bare integer. */
+static char *put_double(char *p, double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t mag = bits & ~(1ull << 63);
+    if (mag > 0x7ff0000000000000ull) /* nan of either sign */
+        return put(p, "nan", 3);
+    if (bits >> 63)
+        *p++ = '-';
+    if (mag == 0x7ff0000000000000ull)
+        return put(p, "inf", 3);
+    if (mag == 0)
+        return put(p, "0.0", 3);
+    int x;
+    uint64_t q = digits17(mag, &x);
+    char d[17];
+    for (int i = 15; i > 0; i -= 2, q /= 100)
+        memcpy(d + i, DIGIT_PAIRS + 2 * (q % 100), 2);
+    d[0] = (char)('0' + q);
+    int nd = 17; /* significant digits left after dropping trailing zeros */
+    while (d[nd - 1] == '0')
+        nd--;
+    if (x < -4 || x >= 17) {
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            p = put(p, d + 1, (size_t)(nd - 1));
+        }
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        int ax = x < 0 ? -x : x;
+        if (ax >= 100)
+            *p++ = (char)('0' + ax / 100);
+        *p++ = (char)('0' + ax / 10 % 10);
+        *p++ = (char)('0' + ax % 10);
+    } else if (x < 0) {
+        p = put(p, "0.0000", (size_t)(1 - x));
+        p = put(p, d, (size_t)nd);
+    } else {
+        p = put(p, d, (size_t)(x + 1));
+        *p++ = '.';
+        if (nd > x + 1)
+            p = put(p, d + x + 1, (size_t)(nd - x - 1));
+        else
+            *p++ = '0';
+    }
+    return p;
+}
+
+static char *put_int(char *p, int64_t v)
+{
+    uint64_t u = (uint64_t)v;
+    if (v < 0) {
+        *p++ = '-';
+        u = 0 - u;
+    }
+    char d[20];
+    int n = 0;
+    do {
+        d[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (n)
+        *p++ = d[--n];
+    return p;
+}
+
+/* Write rows [row0, row0 + n_rows) of n_columns >= 1 columns as CSV lines
+ * into out, which holds at least n_rows * n_columns * cell_bytes bytes.
+ * columns[c] points at doubles if is_float[c], else at int64 values.
+ * Returns the number of bytes written. */
+int64_t format_rows(const void *const *columns, const char *is_float,
+                    int64_t n_columns, int64_t row0, int64_t n_rows, char *out)
+{
+    char *p = out;
+    for (int64_t i = row0; i < row0 + n_rows; i++) {
+        for (int64_t c = 0; c < n_columns; c++) {
+            if (is_float[c])
+                p = put_double(p, ((const double *)columns[c])[i]);
+            else
+                p = put_int(p, ((const int64_t *)columns[c])[i]);
+            *p++ = ',';
+        }
+        p[-1] = '\n';
+    }
+    return p - out;
 }

@@ -11,6 +11,11 @@ native build or load fails, the kernel is built once more without
 library. Without a compiler, or if that retry fails too, a warning names the
 cause and the numpy kernel of ``_kernels_py`` runs instead
 (``compile_command`` is then ``None``).
+
+The same library formats CSV rows: ``format_rows`` writes int64 and float64
+columns as the text ``tableio.format_value`` defines, for ``tableio`` to
+write out. It is ``None`` under the numpy kernel, and ``tableio`` then
+formats every cell in Python.
 """
 
 from __future__ import annotations
@@ -50,6 +55,12 @@ _ARGTYPES = (
     ctypes.c_double, ctypes.c_double,                    # target_total, degen
     ctypes.POINTER(ctypes.c_double),                     # bad_total
 )
+_FORMAT_ARGTYPES = (
+    ctypes.POINTER(ctypes.c_void_p), ctypes.c_char_p,    # columns, is_float
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,      # n_columns, row0, n_rows
+    np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS, WRITEABLE"),
+)
+_FORMAT_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
 def _cpu_identity() -> str:
@@ -87,9 +98,11 @@ def _build(cmd) -> str:
 
 
 def _load(cmd):
-    """The kernel that ``cmd`` compiles, as an ``advance`` with the numpy
-    kernel's signature and a ``compile_command`` attribute."""
-    fn = ctypes.CDLL(_build(cmd)).advance
+    """The library that ``cmd`` compiles, as (advance, format_rows): an
+    ``advance`` with the numpy kernel's signature and a ``compile_command``
+    attribute, and the row formatter."""
+    lib = ctypes.CDLL(_build(cmd))
+    fn = lib.advance
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int64
 
@@ -105,24 +118,52 @@ def _load(cmd):
             raise NormalizationDegenerate(bad_total.value, degen, t=bad_t)
 
     advance.compile_command = tuple(cmd)
-    return advance
+    return advance, _formatter(lib)
+
+
+def _formatter(lib):
+    """``format_rows`` of the loaded library, with its arguments checked."""
+    fn = lib.format_rows
+    fn.argtypes = _FORMAT_ARGTYPES
+    fn.restype = ctypes.c_int64
+    cell_bytes = ctypes.c_int64.in_dll(lib, "cell_bytes").value
+
+    def format_rows(columns, start, stop, out):
+        """Write rows [start, stop) of ``columns``, 1-d C-contiguous int64 or
+        float64 arrays, as CSV lines into ``out``, a uint8 array of at least
+        ``(stop - start) * len(columns) * format_rows.cell_bytes`` bytes.
+        Returns the number of bytes written."""
+        if not columns or any(c.dtype not in _FORMAT_DTYPES or c.ndim != 1
+                              or not c.flags.c_contiguous for c in columns):
+            raise ValueError("columns must be 1-d C-contiguous int64 or float64 arrays")
+        if not 0 <= start <= stop <= min(c.shape[0] for c in columns):
+            raise ValueError(f"rows [{start}, {stop}) are not all in the columns")
+        if out.shape[0] < (stop - start) * len(columns) * cell_bytes:
+            raise ValueError("output buffer too small")
+        pointers = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
+        is_float = bytes(c.dtype.kind == "f" for c in columns)
+        return fn(pointers, is_float, len(columns), start, stop - start, out)
+
+    format_rows.cell_bytes = cell_bytes
+    return format_rows
 
 
 def _select():
-    """(name, advance) of the C kernel, built for the host CPU or else
-    portably, or of the numpy kernel if neither build loads."""
+    """(name, advance, format_rows) of the C library, built for the host CPU
+    or else portably, or of the numpy kernel (no formatter) if neither build
+    loads."""
     for cmd in ([_CC, _NATIVE, *_CFLAGS], [_CC, *_CFLAGS]):
         try:
-            return "c", _load(cmd)
+            return ("c", *_load(cmd))
         except (OSError, subprocess.CalledProcessError) as exc:
             failure = exc
     cause = getattr(failure, "stderr", None) or failure
     warnings.warn(f"C kernel unavailable, using the numpy kernel: {cause}",
                   RuntimeWarning, stacklevel=2)
-    return "python", _kernels_py.advance
+    return "python", _kernels_py.advance, None
 
 
-backend_name, advance = _select()
+backend_name, advance, format_rows = _select()
 compile_command = getattr(advance, "compile_command", None)
 
 

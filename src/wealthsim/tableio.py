@@ -14,15 +14,14 @@ serialized with 17 significant digits so that reading a file back reproduces
 the written float64 values bit-for-bit; integer-valued columns are written
 and read as integers (seeds are 64-bit, wider than a float64 mantissa).
 
-``format_value`` is the one definition of a cell. ``write_table`` reaches
-the same bytes a row at a time: one ``%`` template per table, built from
-the column dtypes (``%d`` for integers, ``%.17g`` for floats, ``%s`` for
-strings), is applied to each row of Python scalars. Only rows holding a
-float that ``%.17g`` prints as a bare integer (``-0``, ``1000``), found by
-a vectorized mask, are redone cell by cell with ``format_value``, as are
-columns of any other dtype. Rows are formatted and written in blocks of
-about ``BLOCK_CELLS`` cells, so the Python objects and text held in memory
-stay small however long or wide the table is.
+``format_value`` is the one definition of a cell. ``write_table`` writes a
+table whose columns are all integers or floats of up to 64 bits through the
+compiled ``backends.format_rows``, which gives the same bytes from the
+columns cast to int64 and float64; it formats any other table (str, bool
+or object columns, or no compiled library) with ``format_value``, cell by
+cell. Rows are formatted and written in blocks of about ``BLOCK_CELLS``
+cells, so the text held in memory stays small however long or wide the
+table is.
 """
 
 from __future__ import annotations
@@ -32,13 +31,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import backends
 from .errors import ParseError
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 # Cells formatted and written at a time, in blocks of whole rows
-# (BLOCK_CELLS // columns); bounds the Python objects and text held in memory.
+# (BLOCK_CELLS // columns); bounds the text held in memory.
 BLOCK_CELLS = 16384
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def format_value(v) -> str:
@@ -58,31 +59,13 @@ def format_value(v) -> str:
     return s
 
 
-def _conversion(dtype: np.dtype) -> str:
-    """The template conversion of a column; '' for one formatted per cell."""
-    if dtype.kind in "iu":
-        return "%d"
-    if dtype.kind == "f" and dtype.itemsize <= 8:
-        return "%.17g"
-    if dtype.kind == "U":
-        return "%s"
-    return ""
-
-
-def _bare_integers(c: np.ndarray) -> np.ndarray:
-    """Cells that %.17g prints without '.', exponent, nan or inf: finite
-    integral values below 1e17 (17 digits), -0.0 included."""
-    x = c.astype(np.float64, copy=False)
-    return (np.trunc(x) == x) & (np.abs(x) < 1e17)
-
-
 def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
                     metadata: Dict[str, str]) -> None:
     """Refuse what read_table could not return intact: it splits lines at
     commas, strips header names and metadata, ends a metadata key at the
     first ':', keys columns by name, skips blank lines and lines starting
     with '#', and reads a column whose cells all look like numbers as a
-    numeric column."""
+    numeric column, as int64 if every cell is an integer."""
     line = ",".join(header)
     if not line.strip() or line.startswith("#"):
         raise ValueError(f"header {header!r} would read as a blank or comment line")
@@ -99,6 +82,8 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
             raise ValueError(f"metadata entry {key!r}: {value!r} contains a newline, "
                              "a ':' in the key or surrounding whitespace")
     for j, (name, c) in enumerate(zip(header, cols)):
+        if c.dtype.kind == "u" and c.size and c.max() > _INT64_MAX:
+            raise ValueError(f"column {name!r} holds an integer above int64's range")
         if c.dtype.kind == "O":
             c = np.array([v for v in c.tolist() if isinstance(v, str)], dtype=str)
         if c.dtype.kind != "U":
@@ -128,24 +113,37 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
         if c.shape != (n,):
             raise ValueError("all columns must be 1-d and equally long")
     _check_writable(header, cols, metadata)
-    conversions = [_conversion(c.dtype) for c in cols]
-    template = ",".join(conv or "%s" for conv in conversions) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"# {k}: {v}\n" for k, v in metadata.items()))
-        fh.write(",".join(header) + "\n")
-        rows = max(1, BLOCK_CELLS // max(1, len(cols)))
-        for start in range(0, n, rows):
-            block = [c[start:start + rows] for c in cols]
-            cells = [c.tolist() if conv else [format_value(v) for v in c]
-                     for c, conv in zip(block, conversions)]
-            lines = [template % row for row in zip(*cells)]
-            bare = np.zeros(len(lines), dtype=bool)
-            for c, conv in zip(block, conversions):
-                if conv == "%.17g":
-                    bare |= _bare_integers(c)
-            for i in np.flatnonzero(bare):
-                lines[i] = ",".join(format_value(c[i]) for c in block) + "\n"
-            fh.write("".join(lines))
+    format_rows = backends.format_rows
+    typed = _typed_for_c(cols) if format_rows is not None else None
+    rows = max(1, BLOCK_CELLS // len(cols))
+    with open(path, "wb") as fh:
+        head = [f"# {k}: {v}\n" for k, v in metadata.items()] + [",".join(header), "\n"]
+        fh.write("".join(head).encode("utf-8"))
+        if typed is not None:
+            buf = np.empty(rows * len(cols) * format_rows.cell_bytes, dtype=np.uint8)
+            for start in range(0, n, rows):
+                size = format_rows(typed, start, min(n, start + rows), buf)
+                fh.write(buf[:size])
+        else:
+            for start in range(0, n, rows):
+                block = zip(*(c[start:start + rows] for c in cols))
+                text = "".join(",".join(map(format_value, row)) + "\n" for row in block)
+                fh.write(text.encode("utf-8"))
+
+
+def _typed_for_c(cols: Sequence[np.ndarray]):
+    """The columns cast to the int64/float64 arrays ``backends.format_rows``
+    takes, or None if one of them is neither an integer nor a float of up to
+    64 bits. ``_check_writable`` has refused uint64 values above int64."""
+    typed = []
+    for c in cols:
+        if c.dtype.kind in "iu":
+            typed.append(np.ascontiguousarray(c, dtype=np.int64))
+        elif c.dtype.kind == "f" and c.dtype.itemsize <= 8:
+            typed.append(np.ascontiguousarray(c, dtype=np.float64))
+        else:
+            return None
+    return typed
 
 
 def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:

@@ -1,5 +1,6 @@
 """Lossless CSV round trips."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hyp
 
+from wealthsim import backends
 from wealthsim.errors import ParseError
 from wealthsim.tableio import BLOCK_CELLS, format_value, read_table, write_table
 
@@ -22,6 +24,9 @@ def test_format_value_cases():
     assert format_value(float("nan")) == "nan"
     assert format_value(float("inf")) == "inf"
     assert format_value("rank_1") == "rank_1"
+    # ties at the 17th digit go to the even digit
+    assert format_value(1000000000000000.25) == "1000000000000000.2"
+    assert format_value(4503599627370497.5) == "4503599627370498.0"
 
 
 def test_round_trip_preserves_values_and_dtypes(tmp_path):
@@ -140,8 +145,8 @@ SPECIAL_FLOATS = [-0.0, 0.0, 1000.0, -1e16, 99999999999999984.0, 1e17, -1e17,
 CELLS = {
     "int64": hyp.one_of(hyp.sampled_from([INT64.min, INT64.max, 0, -1]),
                         hyp.integers(INT64.min, INT64.max)),
-    "uint64": hyp.one_of(hyp.sampled_from([2**63, 2**64 - 1]),
-                         hyp.integers(0, 2**64 - 1)),
+    # write_table refuses uint64 values above int64's range
+    "uint64": hyp.one_of(hyp.sampled_from([2**63 - 1]), hyp.integers(0, 2**63 - 1)),
     "float64": hyp.one_of(hyp.sampled_from(SPECIAL_FLOATS), hyp.floats(width=64)),
     "float32": hyp.floats(width=32),
     "bool": hyp.booleans(),
@@ -180,14 +185,111 @@ def reads_as_numbers(cells):
     return bool(cells)
 
 
+needs_c = pytest.mark.skipif(backends.format_rows is None,
+                             reason="compiled library not built")
+# write_table's two paths: the compiled formatter, and format_value cell by
+# cell, which runs when the formatter is missing
+WRITERS = [pytest.param("c", marks=needs_c), "python"]
+
+
+@contextlib.contextmanager
+def writing_through(writer):
+    """Make write_table take the given path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if writer == "python":
+            mp.setattr(backends, "format_rows", None)
+        yield
+
+
+@pytest.mark.parametrize("writer", WRITERS)
 @settings(max_examples=60, deadline=None)
-@given(tables())
-def test_write_table_matches_the_cell_by_cell_writer(tmp_path_factory, table):
+@given(table=tables())
+def test_write_table_matches_the_cell_by_cell_writer(tmp_path_factory, writer, table):
     header, columns = table
     path = tmp_path_factory.getbasetemp() / "bytes.csv"
     metadata = {"params_hash": "5f1c2b", "units": "x=1, y=2"}
-    write_table(path, header, columns, metadata)
+    with writing_through(writer):
+        write_table(path, header, columns, metadata)
     assert path.read_bytes() == reference_bytes(header, columns, metadata)
+
+
+def same_floats(a, b):
+    """Bitwise equal, except that any nan equals any nan."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@settings(max_examples=60, deadline=None)
+@given(table=tables())
+def test_read_table_returns_what_write_table_accepts(tmp_path_factory, writer, table):
+    header, columns = table
+    path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+    metadata = {"params_hash": "5f1c2b", "units": "x=1, y=2"}
+    with writing_through(writer):
+        write_table(path, header, columns, metadata)
+    meta, names, cols = read_table(path)
+    assert meta == metadata
+    assert names == header
+    for name, c in zip(header, columns):
+        back = cols[name]
+        assert back.size == c.size
+        if c.size == 0:  # no cell to type the column by
+            continue
+        if c.dtype.kind in "iu":
+            assert back.dtype == np.int64
+            assert np.array_equal(back, c.astype(np.int64))
+        elif c.dtype.kind in "fb":  # float32 widens, bool reads as 0/1
+            assert back.dtype == np.float64
+            assert same_floats(back, c.astype(np.float64))
+        else:
+            assert back.tolist() == c.tolist()
+
+
+def c_cells(column):
+    """The cells the compiled formatter writes for one int64 or float64 column."""
+    fmt = backends.format_rows
+    out = np.empty(column.size * fmt.cell_bytes, dtype=np.uint8)
+    size = fmt([np.ascontiguousarray(column)], 0, column.size, out)
+    return out[:size].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def neighbours(values):
+    """The values with the next double either side of each."""
+    v = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # past the largest double: inf
+        return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+# The compiled formatter takes 17 digits from the exact value m * 2^e:
+# unsigned __int128 serves 2^-19 <= |v| < 2^127, 64-bit limbs the rest;
+# 2^53, 1e16 and 1e17 are where the decimal scale turns from up to down
+FORMATTER_CASES = {
+    "random-bit-patterns": np.random.default_rng(20261018).integers(
+        0, 2**64, size=10**5, dtype=np.uint64).view(np.float64),
+    "powers-of-ten": neighbours([float(f"1e{k}") for k in range(-320, 309)]),
+    "path-edges": neighbours([2.0**-20, 2.0**-19, 1e-6, 2.0**126, 2.0**127,
+                              2.0**53, 2.0**54, 1e16, 1e17, 5e-324,
+                              2.2250738585072014e-308, 1.7976931348623157e308]),
+    "ties": np.array([1000000000000000.25, 4503599627370497.5, 0.5, 2.5]),
+    # doubles below a power of ten whose 17 digits round up to it
+    "new-decade": np.array([1e-14, 1e-73, 1e-305]),
+    "specials": np.array([-0.0, 0.0, np.copysign(np.nan, -1), np.nan, np.inf, -np.inf]),
+    "int64": np.array([INT64.min, INT64.max, 0, -1, 10**18], dtype=np.int64),
+}
+
+
+@needs_c
+@pytest.mark.parametrize("case", sorted(FORMATTER_CASES))
+def test_compiled_formatter_matches_format_value(case):
+    column = FORMATTER_CASES[case]
+    cells = c_cells(column)
+    wrong = [(v, got, format_value(v)) for v, got in zip(column, cells)
+             if got != format_value(v)]
+    assert not wrong[:5]
+    assert len(cells) == column.size
+    assert max(map(len, cells)) < backends.format_rows.cell_bytes  # room for ','
 
 
 @pytest.mark.parametrize("header, columns, metadata", [
@@ -226,6 +328,9 @@ def test_write_table_matches_the_cell_by_cell_writer(tmp_path_factory, table):
                  id="numeric-object-str-cell"),
     pytest.param(["name"], [np.array(["99999999999999999999"])], {},
                  id="int64-overflow-str-cell"),
+    # read back as int64, which cannot hold it
+    pytest.param(["x"], [np.array([1, 2**63], dtype=np.uint64)], {},
+                 id="uint64-above-int64"),
 ])
 def test_unreadable_tables_are_refused_before_the_file_opens(tmp_path, header,
                                                               columns, metadata):
