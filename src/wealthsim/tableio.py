@@ -85,7 +85,7 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
         if c.dtype.kind == "u" and c.size and c.max() > _INT64_MAX:
             raise ValueError(f"column {name!r} holds an integer above int64's range")
         if c.dtype.kind == "O":
-            c = np.array([v for v in c.tolist() if isinstance(v, str)], dtype=str)
+            c = _object_column(name, c)
         if c.dtype.kind != "U":
             continue
         if any((np.char.find(c, ch) >= 0).any() for ch in ",\n\r"):
@@ -96,6 +96,25 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
             raise ValueError(f"one-column table {name!r} has a blank cell")
         if c.size and _typed_column(c.tolist()).dtype.kind != "U":
             raise ValueError(f"str column {name!r} would read back as numbers")
+
+
+def _object_column(name: str, c: np.ndarray) -> np.ndarray:
+    """The str, int64 or float64 column read_table returns for the object
+    column ``c``; ValueError unless every cell comes back intact."""
+    cells = c.tolist()
+    if all(isinstance(v, str) for v in cells):
+        typed = np.array(cells, dtype=str)  # drops trailing NULs
+        if typed.tolist() == cells:
+            return typed
+    elif all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in cells):
+        try:
+            return np.array(cells, dtype=np.int64)
+        except OverflowError:
+            pass
+    elif all(isinstance(v, float) for v in cells):
+        return np.array(cells, dtype=np.float64)
+    raise ValueError(f"object column {name!r} would not read back intact: it must "
+                     "hold only str, only int64 or only float64 cells")
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],

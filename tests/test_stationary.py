@@ -97,6 +97,24 @@ def test_operator_rejects_bad_epsilon(epsilon):
 # --- operator structure ----------------------------------------------------
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.001, -0.005, -0.015, -0.03, 0.3, -0.9])
+def test_operator_weights_match_the_per_tap_loop(eps):
+    # oracle: each band tap split between two neighbouring offsets, one tap
+    # at a time; the one-scatter build must give the same bits
+    grid = st.default_grid()
+    op = st.build_operator(grid, 0.06, eps)
+    offsets, band = st._base_band(0.06, grid.dx)
+    k = np.floor(op.shifts / grid.dx).astype(np.int64)
+    f = op.shifts / grid.dx - k
+    want = np.zeros_like(op.weights)
+    cols = np.arange(grid.m)
+    base_col = offsets[0] + k - op.offsets[0]
+    for i in range(offsets.size):
+        want[cols, base_col + i] += (1.0 - f) * band[i]
+        want[cols, base_col + i + 1] += f * band[i]
+    assert want.tobytes() == op.weights.tobytes()
+
+
 def test_zero_skew_operator_is_toeplitz(small_grid):
     op = st.build_operator(small_grid, 0.06, 0.0)
     np.testing.assert_array_equal(op.shifts, np.zeros(small_grid.m))
@@ -167,18 +185,31 @@ def test_leading_eigenvalue_matches_dense_to_roundoff(small_grid, small_solution
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.03])
-def test_block_factor_solves_the_shifted_system(eps):
-    # 601 cells: not a multiple of the block size, so the last block is padded
-    grid = st.default_grid(m=601, decades=2.0, decades_below=1.0)
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 15, 16, 17])
+def test_block_factor_solves_the_shifted_system(n_blocks, eps):
+    # the reduction meets one block, odd and even level sizes, and a power of
+    # two and its neighbours; m is not a multiple of b, so the last block is
+    # padded. The block size b = 9 holds over these narrow centred spans.
+    m = 9 * n_blocks - 1
+    dx = st.default_grid().dx
+    grid = st.LogGrid(x_min=math.log(600.0) - dx * m / 2, dx=dx, m=m)
     op = st.build_operator(grid, 0.06, eps)
     b = int(np.abs(op.offsets).max())
-    assert grid.m % b != 0
-    blocks = st._block_factor(op)
-    assert blocks.shape == (3, -(-grid.m // b), b, b)
+    assert b == 9 and -(-m // b) == n_blocks
     r = np.random.default_rng(7).random(grid.m)
     want = np.linalg.solve(st.SHIFT * np.eye(grid.m) - op.to_dense(), r)
-    np.testing.assert_allclose(st._block_solve(blocks, r), want,
+    np.testing.assert_allclose(st._block_solve(st._block_factor(op), r), want,
                                rtol=0, atol=1e-10 * np.abs(want).max())
+
+
+def test_iteration_counts_at_the_default_grid():
+    # inverse-iteration steps (first mode, second mode) at m = 3600, as the
+    # stationary report exports them: the solver's roundoff must not move them
+    counts = {-0.005: [5, 167], -0.015: [4, 50], -0.03: [4, 47], -0.001: [28, 31]}
+    grid = st.default_grid()
+    for eps, want in counts.items():
+        _, _, iters = st.leading_eigenpair(st.build_operator(grid, 0.06, eps), n_modes=2)
+        assert iters == want, eps
 
 
 def test_three_modes_are_the_three_largest_real_eigenvalues(small_grid):
