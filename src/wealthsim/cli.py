@@ -468,7 +468,7 @@ def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
                      ["x", "mass"], [grid.x, mode],
                      "x=ln(excess currency), mass=probability per cell" if idx == 1
                      else "x=ln(excess currency), mass=signed amplitude per cell "
-                          "(unit L1 norm, largest entry positive, near-zero sum)",
+                          "(unit L1 norm, largest entry positive)",
                      epsilon=tableio.format_value(eps), mode_index=str(idx))
             # diagnostics are for the leading mode only
             diagnostics = [math.nan] * 5

@@ -191,7 +191,7 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
                 hist_counts += stats.bin_excess(edges, asc)
             tick_pos += 1
         if is_snap[ev_idx]:
-            sorted_snapshots.append(desc.copy())
+            sorted_snapshots.append(desc)
 
     histogram = (None if window is None else
                  stats.LogHistogram(bin_edges=edges, counts=hist_counts, window=window))

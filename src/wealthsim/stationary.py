@@ -297,11 +297,17 @@ def _block_solve(levels: List[Tuple[np.ndarray, ...]], r: np.ndarray) -> np.ndar
     return x.ravel()[: r.size]
 
 
+def _signed_unit(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled to unit L1 norm, its largest-magnitude entry positive."""
+    x = x / np.abs(x).sum()
+    return -x if x[int(np.argmax(np.abs(x)))] < 0 else x
+
+
 def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
                       max_iter: int = 400000) -> Tuple[np.ndarray, List[np.ndarray], List[int]]:
     """Dominant eigenpairs by shift-invert (inverse) iteration.
 
-    Each step solves ``(SHIFT*I - A) x = v`` (Golub & Van Loan, *Matrix
+    Each step solves ``(SHIFT*I - A) w = v`` (Golub & Van Loan, *Matrix
     Computations*, sec. 7.6), which converges to the eigenvalue nearest
     SHIFT = 1 + 1e-6 at the rate |SHIFT - lam_1| / |SHIFT - lam_2| per step.
     For the first mode that is the real leading one, as no eigenvalue has
@@ -315,24 +321,25 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     takes the Schur complement of the odd block rows and columns, which keeps
     strict column diagonal dominance with margins no smaller; so every D
     block inverted is nonsingular, with 1-norm inverse at most 1/(SHIFT - 1).
+    The eigenvalue is read from the same solve: as w approaches
+    v / (SHIFT - lam), lam = SHIFT - (v . v) / (v . w).
 
-    Modes past the first come from Wielandt deflation: each mode found,
+    Modes past the first come from Wielandt deflation (Saad, *Numerical
+    Methods for Large Eigenvalue Problems*, SIAM 2011): each mode found,
     lam_d v_d, is removed as A - lam_d v_d u_d^T with u_d^T v_d = 1. The
-    leading mode uses u = 1 (its unit mass; 1 is its left eigenvector up to
-    boundary leakage, so the later modes barely change). Later modes carry
-    no net mass, so they use u_d = v_d / (v_d . v_d). The shifted inverse of
-    each rank-one update is applied by Sherman-Morrison, one extra solve per
-    mode and no second factorization. The eigenvalue is read from
-    ``op.apply``: the total mass after one day for the leading mode, the
-    ratio at the peak cell past it.
+    leading mode uses u = 1 (its unit mass); later modes use
+    u_d = v_d / (v_d . v_d). The shifted inverse of each rank-one update is
+    applied by Sherman-Morrison, one extra solve per mode and no second
+    factorization, so the eigenvalue read from the solve is already that of
+    the deflated matrix. Its eigenvector x is mapped back to one of A through
+    the deflations, latest first, by x <- (lam - lam_d) x + lam_d (u_d . x) v_d.
 
     Converged when the eigenvalue estimate moves < VALUE_TOL AND the
     normalized vector moves < VECTOR_TOL in L1 between iterations.
     The leading mode is returned with unit sum, its total mass. Modes past
-    the first carry almost no net mass, so they keep the form the iteration
-    gives them: unit L1 norm, largest-magnitude entry positive. Eigenvalues
-    come out in descending order. Raises NotConverged (with the last iterate's
-    ``op.residual``) if an iteration hits ``max_iter``.
+    the first have unit L1 norm and a positive largest-magnitude entry.
+    Eigenvalues come out in descending order. Raises NotConverged (with the
+    last iterate's ``op.residual``) if an iteration hits ``max_iter``.
     """
     m = op.grid.m
     blocks = _block_factor(op)
@@ -340,52 +347,44 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     found_modes: List[np.ndarray] = []
     iterations: List[int] = []
     # deflation terms lam_d v_d u_d^T, each with z_d for its Sherman-Morrison step
-    deflations: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    deflations: List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def shifted_solve(r: np.ndarray) -> np.ndarray:
         x = _block_solve(blocks, r)
-        for _, u, z in deflations:
+        for _, _, u, z in deflations:
             x -= z * (u @ x)
         return x
 
+    def undeflate(x: np.ndarray, lam: float) -> np.ndarray:
+        for lam_d, v_d, u, _ in reversed(deflations):
+            x = (lam - lam_d) * x + lam_d * (u @ x) * v_d
+        return _signed_unit(x)
+
     for mode_idx in range(n_modes):
         v = np.full(m, 1.0 / m)
-        lam_prev = math.inf
-        lam = math.inf
-        converged = False
+        lam = lam_prev = math.inf
         for it in range(1, max_iter + 1):
             w = shifted_solve(v)
-            norm = np.abs(w).sum()
-            if norm == 0.0:
+            if not w.any():
                 raise NotConverged(it, float("nan"))
-            w = w / norm
-            if w[int(np.argmax(np.abs(w)))] < 0:
-                w = -w
-            aw = op.apply(w)
-            if mode_idx == 0:
-                lam = aw.sum()  # nonnegative iterate: total mass after one day
-            else:
-                for lv, u, _ in deflations:
-                    aw -= lv * (u @ w)
-                peak = int(np.argmax(np.abs(w)))
-                lam = aw[peak] / w[peak]
+            lam = SHIFT - (v @ v) / (v @ w)
+            w = _signed_unit(w)
             dv = np.abs(w - v).sum()
             v = w
             if abs(lam - lam_prev) < VALUE_TOL and dv < VECTOR_TOL:
-                converged = True
                 break
             lam_prev = lam
-        if not converged:
-            raise NotConverged(max_iter, op.residual(lam, v))
+        else:
+            raise NotConverged(max_iter, op.residual(lam, undeflate(v, lam)))
         if mode_idx == 0:
             v = v / v.sum()  # unit mass: the deflation term lam v 1^T needs 1^T v = 1
         found_vals.append(float(lam))
-        found_modes.append(v)
+        found_modes.append(undeflate(v, lam) if deflations else v)
         iterations.append(it)
         if mode_idx + 1 < n_modes:
             u = np.ones(m) if mode_idx == 0 else v / (v @ v)
             z = shifted_solve(lam * v)
-            deflations.append((lam * v, u, z / (1.0 + u @ z)))
+            deflations.append((lam, v, u, z / (1.0 + u @ z)))
 
     order = np.argsort(found_vals)[::-1]
     values = np.array([found_vals[i] for i in order])

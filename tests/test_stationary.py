@@ -231,10 +231,32 @@ def test_second_mode_via_deflation(small_grid):
     assert len(modes) == 2 and len(iters) == 2
 
 
+@pytest.mark.parametrize("m, decades, decades_below, eps", [
+    (600, 2.0, 1.0, -0.001), (600, 2.0, 1.0, -0.03), (3600, 12.0, 8.0, -0.001)])
+def test_every_mode_is_an_eigenvector_of_the_operator(m, decades, decades_below, eps):
+    # modes found after deflation are mapped back to eigenvectors of A itself,
+    # not left as eigenvectors of the deflated matrix
+    op = st.build_operator(st.default_grid(m=m, decades=decades,
+                                           decades_below=decades_below), 0.06, eps)
+    values, modes, _ = st.leading_eigenpair(op, n_modes=3)
+    for lam, mode in zip(values, modes):
+        assert op.residual(lam, mode) <= 1e-9
+
+
+def test_iteration_reads_the_eigenvalue_without_applying_the_operator(small_grid, monkeypatch):
+    op = st.build_operator(small_grid, 0.06, -0.03)
+    calls = []
+    apply = st.BandOperator.apply
+    monkeypatch.setattr(st.BandOperator, "apply",
+                        lambda self, v: calls.append(1) or apply(self, v))
+    st.leading_eigenpair(op, 2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("eps", [-0.005, -0.001])
 def test_second_mode_has_unit_l1_norm(eps):
-    # the second mode's net mass is ~5e-13 of its L1 norm at eps=-0.005 and
-    # ~6e-5 at eps=-0.001: scaling it to unit sum would blow it up 17 583x
+    # the second mode's net mass is ~8e-10 of its L1 norm at eps=-0.005 and
+    # 0.84 at eps=-0.001: scaling it to unit sum would blow the first up 1e9x
     op = st.build_operator(st.default_grid(), 0.06, eps)
     values, modes, _ = st.leading_eigenpair(op, n_modes=2)
     assert modes[0].sum() == pytest.approx(1.0, abs=1e-12)
