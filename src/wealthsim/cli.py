@@ -352,7 +352,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
         if cfg.export_snapshots:
             ex.table(f"snapshots_run{r:02d}.csv", "series",
                      ["rank"] + [f"t{int(t)}" for t in rec.snapshot_times],
-                     [np.arange(1, cfg.n_agents + 1)] + rec.sorted_snapshots,
+                     [np.arange(1, cfg.n_agents + 1), *rec.sorted_snapshots],
                      "rank=1-based sorted position, t*=currency", run=str(r))
         if cfg.export_histograms:
             # snap descends and subtracting wp rounds monotonically: reversed, it ascends

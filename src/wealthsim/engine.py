@@ -15,16 +15,18 @@ histogram (binned by ``stats.bin_excess``, which needs ascending input) all
 read that one sort.
 
 Because every random draw is a pure function of (seed, run, t, agent),
-records are bit-identical however the runs are scheduled: serially, or in a
-thread pool. Only the C kernel drops the GIL for the day loop, so the pool
-is started for it alone; the numpy fallback always runs serially.
+records are bit-identical however the runs are scheduled: serially, or as
+whole runs in forked worker processes, which share no GIL whichever kernel
+is in use.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,26 +103,26 @@ class TrajectoryRecord:
     rank_ids: np.ndarray              # 1-based ranks sampled below
     rank_series: np.ndarray           # (n_ranks, n_ticks) sorted wealth
     snapshot_times: np.ndarray
-    sorted_snapshots: List[np.ndarray]  # descending wealth per snapshot time
+    sorted_snapshots: np.ndarray      # (n_snapshots, N) descending wealth
     histogram: Optional[stats.LogHistogram] = None  # the windowed one, if any
 
 
 def max_log_excess(rec: TrajectoryRecord) -> Tuple[np.ndarray, np.ndarray]:
     """(snapshot times, ln of the top excess) — the envelope overlay series."""
-    if not rec.sorted_snapshots:
+    if not len(rec.sorted_snapshots):
         raise ValueError("record contains no snapshots")
-    tops = np.array([snap[0] for snap in rec.sorted_snapshots])
-    return rec.snapshot_times.copy(), np.log(tops - rec.params.wp)
+    return rec.snapshot_times.copy(), np.log(rec.sorted_snapshots[:, 0] - rec.params.wp)
 
 
 def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
         workers: int = 1) -> List[TrajectoryRecord]:
     """Execute ``params.n_runs`` independent runs and record each.
 
-    ``workers > 1`` dispatches whole runs to a thread pool of at most
-    ``min(workers, n_runs, cpu count)`` threads when the C kernel is in use
-    (the numpy kernel holds the GIL and runs slower in threads); the results
-    are identical to the serial ones by construction.
+    ``workers > 1`` maps whole runs over ``min(workers, n_runs, usable
+    cores)`` forked processes (serially where fork does not exist) and
+    returns the records in run order, identical to the serial ones by
+    construction; a worker that dies raises ``BrokenProcessPool``. Starting
+    the pool costs some tens of milliseconds.
     """
     if schedule is None:
         schedule = default_schedule(params.t_max)
@@ -133,12 +135,14 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
         if rank_ids.size and (rank_ids.min() < 1 or rank_ids.max() > params.n_agents):
             raise ParameterError("rank_ids must lie in 1..n_agents")
 
-    run_ids = range(params.n_runs)
-    threads = min(workers, params.n_runs, os.cpu_count() or 1)
-    if threads > 1 and backends.backend_name == "c":
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda r: _run_single(params, schedule, rank_ids, r), run_ids))
-    return [_run_single(params, schedule, rank_ids, r) for r in run_ids]
+    single = partial(_run_single, params, schedule, rank_ids)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    procs = min(workers, params.n_runs, cores)
+    if procs > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(single, range(params.n_runs)))
+    return [single(r) for r in range(params.n_runs)]
 
 
 def _run_single(params: ModelParams, schedule: RecordingSchedule,
@@ -159,7 +163,7 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
     max_series = np.empty(n_ticks)
     gini_series = np.empty(n_ticks)
     rank_series = np.empty((rank_ids.size, n_ticks))
-    sorted_snapshots: List[np.ndarray] = []
+    sorted_snapshots = np.empty((snap_times.size, params.n_agents))
 
     window = schedule.histogram_window
     if window is not None:
@@ -168,7 +172,7 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
 
     is_tick = np.isin(events, tick_times)
     is_snap = np.isin(events, snap_times)
-    tick_pos = 0
+    tick_pos = snap_pos = 0
     t_now = 0
     for ev_idx, t_ev in enumerate(events):
         if t_ev > t_now:
@@ -191,7 +195,8 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
                 hist_counts += stats.bin_excess(edges, asc)
             tick_pos += 1
         if is_snap[ev_idx]:
-            sorted_snapshots.append(desc)
+            sorted_snapshots[snap_pos] = desc
+            snap_pos += 1
 
     histogram = (None if window is None else
                  stats.LogHistogram(bin_edges=edges, counts=hist_counts, window=window))

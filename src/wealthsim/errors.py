@@ -35,6 +35,10 @@ class NormalizationDegenerate(WealthsimError, ArithmeticError):
             f"total excess {total!r} below degeneracy threshold {threshold!r}{where}"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives the trip back from a worker process
+        return type(self), (self.total, self.threshold, self.run_id, self.t)
+
 
 class DomainError(WealthsimError, ValueError):
     """Argument outside a function's mathematical domain."""

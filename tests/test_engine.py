@@ -1,5 +1,7 @@
 """Driver-level behavior: scheduling, recording, determinism, error context."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -42,38 +44,29 @@ def test_parallel_matches_serial_exactly():
             np.testing.assert_array_equal(s, t)
 
 
-def pools_and_identity(monkeypatch, backend_name):
-    """The pool sizes run(workers=64) starts on 2 cores with the named
-    backend, after checking its records against the serial ones."""
+@pytest.mark.parametrize("kernel", sorted(backends.available()))
+def test_process_pool_is_capped_at_the_usable_cores(monkeypatch, kernel):
+    # the forked workers inherit the patched kernel
+    monkeypatch.setattr(engine.backends, "advance", backends.available()[kernel])
     params = small_params()
     sched = default_schedule(600, n_snapshots=12)
     serial = run(params, sched, workers=1)
     pools = []
 
-    class RecordingPool(engine.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class RecordingPool(engine.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers, mp_context=mp_context)
 
-    monkeypatch.setattr(engine.backends, "backend_name", backend_name)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
     wide = run(params, sched, workers=64)
-    for a, b in zip(serial, wide):
-        for field in ("mean_series", "max_series", "gini_series", "rank_series"):
+    assert pools == [2]
+    for a, b in zip(serial, wide, strict=True):
+        assert a.run_id == b.run_id
+        for field in ("mean_series", "max_series", "gini_series", "rank_series",
+                      "sorted_snapshots"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-        assert [s.tobytes() for s in a.sorted_snapshots] \
-            == [s.tobytes() for s in b.sorted_snapshots]
-    return pools
-
-
-def test_thread_pool_is_capped_at_the_core_count(monkeypatch):
-    assert pools_and_identity(monkeypatch, "c") == [2]
-
-
-def test_numpy_kernel_never_runs_in_a_thread_pool(monkeypatch):
-    # the numpy kernel holds the GIL, so threads only add contention
-    assert pools_and_identity(monkeypatch, "python") == []
 
 
 def test_runs_are_distinct_streams():
@@ -224,7 +217,18 @@ def test_degenerate_normalization_carries_run_context(monkeypatch):
         raise NormalizationDegenerate(1e-310, 1e-300, t=t0 + 3)
 
     monkeypatch.setattr("wealthsim.engine.backends.advance", explode)
-    with pytest.raises(NormalizationDegenerate) as ei:
-        run(small_params(n_runs=1), default_schedule(600, n_snapshots=5))
-    assert ei.value.run_id == 0
-    assert ei.value.t == 3
+    # every run fails; the pool, like the serial loop, reports the first
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for workers in (1, 2):
+        with pytest.raises(NormalizationDegenerate) as ei:
+            run(small_params(n_runs=2), default_schedule(600, n_snapshots=5),
+                workers=workers)
+        assert ei.value.run_id == 0
+        assert ei.value.t == 3
+
+
+def test_degenerate_normalization_survives_pickling():
+    exc = NormalizationDegenerate(1e-310, 1e-300, run_id=4, t=17)
+    back = pickle.loads(pickle.dumps(exc))
+    assert (back.total, back.threshold, back.run_id, back.t) == (1e-310, 1e-300, 4, 17)
+    assert str(back) == str(exc)
