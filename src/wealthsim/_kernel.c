@@ -22,7 +22,7 @@
  * digits come from its exact value m * 2^e in integer arithmetic, rounded
  * half to even as Python's '%.17g' rounds them (the exact-integer approach
  * of float printers such as Adams, "Ryu: fast float-to-string conversion",
- * PLDI 2018): unsigned __int128 covers 2^-19 <= |v| < 2^127, and 64-bit
+ * PLDI 2018): unsigned __int128 covers 2^-19 <= |v| < 1e16, and 64-bit
  * limbs cover the rest. No printf: its decimal point follows LC_NUMERIC.
  */
 #include <stdint.h>
@@ -184,21 +184,12 @@ static uint64_t scale_up(uint64_t m, int j, int s, int *rest)
 }
 
 /* floor(m * 2^e / 10^k) for m < 2^53, e >= 1, k >= 0; *rest classifies the
- * remainder. */
+ * remainder. m * 2^e < 2^1024 in 64-bit limbs is divided by 10^k in steps
+ * of at most 10^19. The last step's divisor f is even, so its remainder r
+ * against f / 2, with whether any earlier step left a remainder, says where
+ * the whole remainder lies against 10^k / 2; for k = 0 nothing is left. */
 static uint64_t scale_down(uint64_t m, int e, int k, int *rest)
 {
-    if (e <= 74) { /* then m * 2^e < 2^127, so k <= 22 */
-        u128 n = (u128)m << e, d = (u128)POW10[k < 19 ? k : 19];
-        if (k > 19)
-            d *= POW10[k - 19];
-        u128 q = n / d;
-        *rest = classify(n - q * d, d / 2);
-        return (uint64_t)q;
-    }
-    /* m * 2^e < 2^1024 in 64-bit limbs, divided by 10^k in steps of at
-     * most 10^19. The last step's divisor f is even, so its remainder r
-     * against f / 2, with whether any earlier step left a remainder, says
-     * where the whole remainder lies against 10^k / 2. */
     uint64_t n[17] = {0}, r = 0, f = 1;
     int len = e / 64 + 2, earlier = 0;
     n[e / 64] = m << (e % 64);
@@ -214,7 +205,7 @@ static uint64_t scale_down(uint64_t m, int e, int k, int *rest)
             r = (uint64_t)(cur % f);
         }
     }
-    *rest = r < f / 2 ? (r || earlier ? BELOW_HALF : EXACT)
+    *rest = !r ? (earlier ? BELOW_HALF : EXACT) : r < f / 2 ? BELOW_HALF
           : r == f / 2 ? (earlier ? ABOVE_HALF : HALF) : ABOVE_HALF;
     return n[0];
 }

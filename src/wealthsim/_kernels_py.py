@@ -17,7 +17,10 @@ from .rng import day_uniforms
 
 
 def advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled, target_total):
-    """Advance the excess-wealth vector in place over days [t0, t0 + n_days)."""
+    """Advance the excess-wealth vector in place over days [t0, t0 + n_days).
+
+    A collapsed total raises NormalizationDegenerate naming ``run`` and the day.
+    """
     idx = np.arange(1, excess.shape[0] + 1, dtype=np.uint64)
     degen = target_total * DEGENERACY_RELATIVE
     for t in range(t0, t0 + n_days):
@@ -29,5 +32,5 @@ def advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled, ta
         if coupled:
             total = excess.sum()
             if total < degen:
-                raise NormalizationDegenerate(total, degen, t=t)
+                raise NormalizationDegenerate(total, degen, run_id=run, t=t)
             excess *= target_total / total

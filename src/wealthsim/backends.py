@@ -115,7 +115,7 @@ def _load(cmd):
                    beta, epsilon, w1, skewed, coupled, target_total, degen,
                    ctypes.byref(bad_total))
         if bad_t >= 0:
-            raise NormalizationDegenerate(bad_total.value, degen, t=bad_t)
+            raise NormalizationDegenerate(bad_total.value, degen, run_id=run, t=bad_t)
 
     advance.compile_command = tuple(cmd)
     return advance, _formatter(lib)

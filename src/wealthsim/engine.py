@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import backends, stats
-from .errors import NormalizationDegenerate, ParameterError
+from .errors import ParameterError
 from .params import ModelParams, Mode
 from .rng import stream_key
 
@@ -176,13 +176,9 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
     t_now = 0
     for ev_idx, t_ev in enumerate(events):
         if t_ev > t_now:
-            try:
-                backends.advance(excess, key, run_id, t_now, int(t_ev - t_now),
-                                 params.beta, params.epsilon, params.w1,
-                                 skewed, coupled, target_total)
-            except NormalizationDegenerate as exc:
-                raise NormalizationDegenerate(exc.total, exc.threshold,
-                                              run_id=run_id, t=exc.t) from None
+            backends.advance(excess, key, run_id, t_now, int(t_ev - t_now),
+                             params.beta, params.epsilon, params.w1,
+                             skewed, coupled, target_total)
             t_now = int(t_ev)
         asc = np.sort(excess)
         desc = asc[::-1] + params.wp

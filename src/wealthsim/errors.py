@@ -62,6 +62,9 @@ class NotConverged(WealthsimError, RuntimeError):
             f"no convergence after {iterations} iterations (last residual {residual:.3e})"
         )
 
+    def __reduce__(self):
+        return type(self), (self.iterations, self.residual)
+
 
 class NoOverlap(WealthsimError, ValueError):
     """Two distributions have disjoint supports; a distance is meaningless."""

@@ -14,14 +14,15 @@ serialized with 17 significant digits so that reading a file back reproduces
 the written float64 values bit-for-bit; integer-valued columns are written
 and read as integers (seeds are 64-bit, wider than a float64 mantissa).
 
-``format_value`` is the one definition of a cell. ``write_table`` writes a
-table whose columns are all integers or floats of up to 64 bits through the
-compiled ``backends.format_rows``, which gives the same bytes from the
-columns cast to int64 and float64; it formats any other table (str, bool
-or object columns, or no compiled library) with ``format_value``, cell by
-cell. Rows are formatted and written in blocks of about ``BLOCK_CELLS``
-cells, so the text held in memory stays small however long or wide the
-table is.
+``format_value`` is the one definition of a cell. A column holds integers
+(uint64 only below 2**63), floats of up to 64 bits, or str; ``write_table``
+refuses every other dtype. It casts the numeric columns to int64 and
+float64, which changes no cell's text, and writes a table without str
+columns through the compiled ``backends.format_rows``, which gives the
+bytes ``format_value`` gives; it formats any other table (a str column, or
+no compiled library) with ``format_value``, cell by cell. Rows are
+formatted and written in blocks of about ``BLOCK_CELLS`` cells, so the text
+held in memory stays small however long or wide the table is.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def format_value(v) -> str:
 
 def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
                     metadata: Dict[str, str]) -> None:
-    """Refuse what read_table could not return intact: it splits lines at
+    """Refuse a column that holds neither integers, floats of up to 64 bits
+    nor str, and what read_table could not return intact: it splits lines at
     commas, strips header names and metadata, ends a metadata key at the
     first ':', keys columns by name, skips blank lines and lines starting
     with '#', and reads a column whose cells all look like numbers as a
@@ -82,10 +84,11 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
             raise ValueError(f"metadata entry {key!r}: {value!r} contains a newline, "
                              "a ':' in the key or surrounding whitespace")
     for j, (name, c) in enumerate(zip(header, cols)):
+        if not (c.dtype.kind in "iuU" or c.dtype.kind == "f" and c.dtype.itemsize <= 8):
+            raise ValueError(f"column {name!r} has dtype {c.dtype}; a column must hold "
+                             "integers, floats of up to 64 bits or str")
         if c.dtype.kind == "u" and c.size and c.max() > _INT64_MAX:
             raise ValueError(f"column {name!r} holds an integer above int64's range")
-        if c.dtype.kind == "O":
-            c = _object_column(name, c)
         if c.dtype.kind != "U":
             continue
         if any((np.char.find(c, ch) >= 0).any() for ch in ",\n\r"):
@@ -98,31 +101,13 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
             raise ValueError(f"str column {name!r} would read back as numbers")
 
 
-def _object_column(name: str, c: np.ndarray) -> np.ndarray:
-    """The str, int64 or float64 column read_table returns for the object
-    column ``c``; ValueError unless every cell comes back intact."""
-    cells = c.tolist()
-    if all(isinstance(v, str) for v in cells):
-        typed = np.array(cells, dtype=str)  # drops trailing NULs
-        if typed.tolist() == cells:
-            return typed
-    elif all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in cells):
-        try:
-            return np.array(cells, dtype=np.int64)
-        except OverflowError:
-            pass
-    elif all(isinstance(v, float) for v in cells):
-        return np.array(cells, dtype=np.float64)
-    raise ValueError(f"object column {name!r} would not read back intact: it must "
-                     "hold only str, only int64 or only float64 cells")
-
-
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
                 metadata: Dict[str, str]) -> None:
-    """Write a metadata-headed CSV with '\\n' newlines. Columns must be equal length.
+    """Write a metadata-headed CSV with '\\n' newlines. Columns must be equal
+    length and hold integers, floats of up to 64 bits or str.
 
-    Raises ValueError, before the file is opened, for a table that would
-    not read back (see ``_check_writable``).
+    Raises ValueError, before the file is opened, for any other dtype and
+    for a table that would not read back (see ``_check_writable``).
     """
     if len(header) != len(columns):
         raise ValueError("one header name per column required")
@@ -132,37 +117,25 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
         if c.shape != (n,):
             raise ValueError("all columns must be 1-d and equally long")
     _check_writable(header, cols, metadata)
-    format_rows = backends.format_rows
-    typed = _typed_for_c(cols) if format_rows is not None else None
+    # format_value applies int() or float() to each cell: the casts change no text
+    cols = [c if c.dtype.kind == "U" else
+            np.ascontiguousarray(c, dtype=np.int64 if c.dtype.kind in "iu" else np.float64)
+            for c in cols]
+    format_rows = None if any(c.dtype.kind == "U" for c in cols) else backends.format_rows
     rows = max(1, BLOCK_CELLS // len(cols))
     with open(path, "wb") as fh:
         head = [f"# {k}: {v}\n" for k, v in metadata.items()] + [",".join(header), "\n"]
         fh.write("".join(head).encode("utf-8"))
-        if typed is not None:
+        if format_rows is not None:
             buf = np.empty(rows * len(cols) * format_rows.cell_bytes, dtype=np.uint8)
             for start in range(0, n, rows):
-                size = format_rows(typed, start, min(n, start + rows), buf)
+                size = format_rows(cols, start, min(n, start + rows), buf)
                 fh.write(buf[:size])
         else:
             for start in range(0, n, rows):
                 block = zip(*(c[start:start + rows] for c in cols))
                 text = "".join(",".join(map(format_value, row)) + "\n" for row in block)
                 fh.write(text.encode("utf-8"))
-
-
-def _typed_for_c(cols: Sequence[np.ndarray]):
-    """The columns cast to the int64/float64 arrays ``backends.format_rows``
-    takes, or None if one of them is neither an integer nor a float of up to
-    64 bits. ``_check_writable`` has refused uint64 values above int64."""
-    typed = []
-    for c in cols:
-        if c.dtype.kind in "iu":
-            typed.append(np.ascontiguousarray(c, dtype=np.int64))
-        elif c.dtype.kind == "f" and c.dtype.itemsize <= 8:
-            typed.append(np.ascontiguousarray(c, dtype=np.float64))
-        else:
-            return None
-    return typed
 
 
 def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:

@@ -92,10 +92,10 @@ def test_call_boundaries_do_not_change_the_trajectory(name, mode):
     np.testing.assert_array_equal(whole, split)
 
 
-def _degenerate(name, excess, days, target):
+def _degenerate(name, excess, days, target, run=0):
     with pytest.raises(NormalizationDegenerate) as ei:
         backends.available()[name](
-            excess, KEY, 0, 0, days, 0.06, 0.0, 1000.0, False, True, target)
+            excess, KEY, run, 0, days, 0.06, 0.0, 1000.0, False, True, target)
     return excess, ei.value
 
 
@@ -103,8 +103,8 @@ def _degenerate(name, excess, days, target):
 def test_both_backends_flag_degenerate_totals():
     left = {}
     for name in ("python", "c"):
-        left[name] = _degenerate(name, np.full(N, 1e-305), 5, 600.0 * N)
-        assert left[name][1].t == 0
+        left[name] = _degenerate(name, np.full(N, 1e-305), 5, 600.0 * N, run=3)
+        assert (left[name][1].run_id, left[name][1].t) == (3, 0)
     (a, exc_a), (b, exc_b) = left["python"], left["c"]
     np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
     np.testing.assert_allclose(exc_a.total, exc_b.total, rtol=5e-13, atol=0.0)

@@ -15,7 +15,7 @@ from wealthsim import (
     max_log_excess,
     run,
 )
-from wealthsim.errors import NormalizationDegenerate
+from wealthsim.errors import NormalizationDegenerate, NotConverged
 
 from conftest import LATE_WINDOW, N_AGENTS
 
@@ -214,7 +214,7 @@ def test_max_log_excess_requires_snapshots():
 
 def test_degenerate_normalization_carries_run_context(monkeypatch):
     def explode(excess, key, rid, t0, n_days, *rest):
-        raise NormalizationDegenerate(1e-310, 1e-300, t=t0 + 3)
+        raise NormalizationDegenerate(1e-310, 1e-300, run_id=rid, t=t0 + 3)
 
     monkeypatch.setattr("wealthsim.engine.backends.advance", explode)
     # every run fails; the pool, like the serial loop, reports the first
@@ -227,8 +227,13 @@ def test_degenerate_normalization_carries_run_context(monkeypatch):
         assert ei.value.t == 3
 
 
-def test_degenerate_normalization_survives_pickling():
-    exc = NormalizationDegenerate(1e-310, 1e-300, run_id=4, t=17)
+@pytest.mark.parametrize("exc, fields", [
+    (NormalizationDegenerate(1e-310, 1e-300, run_id=4, t=17),
+     ("total", "threshold", "run_id", "t")),
+    (NotConverged(200, 3.5e-9), ("iterations", "residual")),
+], ids=["NormalizationDegenerate", "NotConverged"])
+def test_degenerate_normalization_survives_pickling(exc, fields):
     back = pickle.loads(pickle.dumps(exc))
-    assert (back.total, back.threshold, back.run_id, back.t) == (1e-310, 1e-300, 4, 17)
+    assert type(back) is type(exc)
+    assert [getattr(back, f) for f in fields] == [getattr(exc, f) for f in fields]
     assert str(back) == str(exc)
