@@ -1,12 +1,13 @@
 /* Compiled day loop and CSV row formatter.
  *
- * advance is the same update as _kernels_py.advance, in C. backends.py
- * compiles this file for the host CPU and defines GOLDEN, MIX1, MIX2,
- * RUN_SHIFT and T_SHIFT on the command line from wealthsim.rng, so the
- * counter layout has a single source. The draws and the per-element update
- * order match the numpy kernel, which makes free mode agree bit for bit;
- * that needs the build to forbid contracting a*b+c into a fused multiply-add
- * (-ffp-contract=off).
+ * advance is the same update as _kernels_py.advance, in C: it advances
+ * through a block of stop days and stores the vector at each, for the
+ * engine to record. backends.py compiles this file for the host CPU and
+ * defines GOLDEN, MIX1, MIX2, RUN_SHIFT and T_SHIFT on the command line from
+ * wealthsim.rng, so the counter layout has a single source. The draws and
+ * the per-element update order match the numpy kernel, which makes free
+ * mode agree bit for bit; that needs the build to forbid contracting a*b+c
+ * into a fused multiply-add (-ffp-contract=off).
  *
  * A coupled day is one pass over the agents: draw, apply the rescale g left
  * pending by the day before, apply the multiplier, store, and add the value
@@ -64,11 +65,14 @@ static inline void compensated_add(double *s, double *c, double x)
 
 /* Advance excess[0..n) in place over days [t0, t0 + n_days). Returns -1, or
  * the first day whose coupled total falls below degen; that total is stored
- * in *bad_total and the day is left unrescaled. */
-int64_t advance(double *excess, int64_t n, uint64_t key, uint64_t run,
-                int64_t t0, int64_t n_days, double beta, double epsilon,
-                double w1, int skewed, int coupled, double target_total,
-                double degen, double *bad_total)
+ * in *bad_total and the day is left unrescaled. The day loop is a static
+ * function apart from advance because glibc exports a legacy advance
+ * (<regexp.h>): a call through that name from inside this library can bind
+ * to glibc's. */
+static int64_t days(double *excess, int64_t n, uint64_t key, uint64_t run,
+                    int64_t t0, int64_t n_days, double beta, double epsilon,
+                    double w1, int skewed, int coupled, double target_total,
+                    double degen, double *bad_total)
 {
     if (!coupled) {
         for (int64_t t = t0; t < t0 + n_days; t++) {
@@ -111,6 +115,29 @@ int64_t advance(double *excess, int64_t n, uint64_t key, uint64_t run,
     }
     for (int64_t j = 0; j < n; j++)
         excess[j] *= g;
+    return -1;
+}
+
+/* Advance excess[0..n) in place from day t0 through each of the n_stops
+ * increasing days stops[i], and copy the vector at stops[i] into row i of
+ * out (n_stops x n), unless out is NULL. Every stop settles the pending
+ * rescale, so the rows are the vectors that one call per stop would leave.
+ * Returns as days does. */
+int64_t advance(double *excess, int64_t n, uint64_t key, uint64_t run,
+                int64_t t0, const int64_t *stops, int64_t n_stops,
+                double *out, double beta, double epsilon, double w1,
+                int skewed, int coupled, double target_total, double degen,
+                double *bad_total)
+{
+    for (int64_t i = 0; i < n_stops; t0 = stops[i++]) {
+        int64_t bad_t = days(excess, n, key, run, t0, stops[i] - t0, beta,
+                             epsilon, w1, skewed, coupled, target_total,
+                             degen, bad_total);
+        if (bad_t >= 0)
+            return bad_t;
+        if (out)
+            memcpy(out + i * n, excess, (size_t)n * sizeof *excess);
+    }
     return -1;
 }
 

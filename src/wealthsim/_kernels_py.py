@@ -16,21 +16,60 @@ from .model import DEGENERACY_RELATIVE
 from .rng import day_uniforms
 
 
-def advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled, target_total):
+def checked_block(excess, t0, n_days, stops, out):
+    """The ``(stops, out)`` an ``advance`` call runs with, checked.
+
+    Without ``stops`` the call runs to ``t0 + n_days`` and stores nothing.
+    Otherwise ``stops`` is a nonempty, strictly increasing sequence of
+    integer days from ``t0`` (the first may equal it) ending at
+    ``t0 + n_days``, and ``out``, if given, a C-contiguous writeable float64
+    array of shape ``(len(stops), len(excess))``. Raises ValueError else.
+    """
+    if stops is None:
+        if out is not None:
+            raise ValueError("out needs stops")
+        return np.array([t0 + n_days], dtype=np.int64), None
+    stops = np.asarray(stops)
+    if stops.ndim != 1 or stops.size == 0 or stops.dtype.kind not in "iu":
+        raise ValueError("stops must be a nonempty 1-d sequence of integer days")
+    stops = np.ascontiguousarray(stops, dtype=np.int64)
+    if stops[0] < t0 or np.any(stops[1:] <= stops[:-1]):
+        raise ValueError(f"stops must increase strictly from t0 = {t0}")
+    if stops[-1] != t0 + n_days:
+        raise ValueError(f"stops end at {stops[-1]}, not at t0 + n_days = {t0 + n_days}")
+    if out is not None and not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == (stops.size, excess.shape[0])
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a C-contiguous writeable float64 array "
+                         f"of shape {(stops.size, excess.shape[0])}")
+    return stops, out
+
+
+def advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled,
+            target_total, stops=None, out=None):
     """Advance the excess-wealth vector in place over days [t0, t0 + n_days).
 
+    Given ``stops``, increasing days ending at ``t0 + n_days``, the vector
+    at ``stops[i]`` is also stored in ``out[i]`` (see ``checked_block``).
     A collapsed total raises NormalizationDegenerate naming ``run`` and the day.
     """
+    stops, out = checked_block(excess, t0, n_days, stops, out)
     idx = np.arange(1, excess.shape[0] + 1, dtype=np.uint64)
     degen = target_total * DEGENERACY_RELATIVE
-    for t in range(t0, t0 + n_days):
-        u = day_uniforms(key, run, t, idx)
-        lam = 1.0 + beta * (1.0 - 2.0 * u)
-        if skewed:
-            lam *= 1.0 + epsilon * (excess / (w1 + excess))
-        excess *= lam
-        if coupled:
-            total = excess.sum()
-            if total < degen:
-                raise NormalizationDegenerate(total, degen, run_id=run, t=t)
-            excess *= target_total / total
+    start = t0
+    for i, stop in enumerate(stops.tolist()):
+        for t in range(start, stop):
+            u = day_uniforms(key, run, t, idx)
+            lam = 1.0 + beta * (1.0 - 2.0 * u)
+            if skewed:
+                lam *= 1.0 + epsilon * (excess / (w1 + excess))
+            excess *= lam
+            if coupled:
+                total = excess.sum()
+                if total < degen:
+                    raise NormalizationDegenerate(float(total), degen, run_id=run, t=t)
+                excess *= target_total / total
+        if out is not None:
+            out[i] = excess
+        start = stop

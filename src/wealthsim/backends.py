@@ -49,7 +49,9 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC",
 _ARGTYPES = (
     np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS, WRITEABLE"),
     ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64,    # n, key, run
-    ctypes.c_int64, ctypes.c_int64,                      # t0, n_days
+    ctypes.c_int64,                                      # t0
+    np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+    ctypes.c_int64, ctypes.c_void_p,                     # n_stops, out
     ctypes.c_double, ctypes.c_double, ctypes.c_double,   # beta, epsilon, w1
     ctypes.c_int, ctypes.c_int,                          # skewed, coupled
     ctypes.c_double, ctypes.c_double,                    # target_total, degen
@@ -107,11 +109,15 @@ def _load(cmd):
     fn.restype = ctypes.c_int64
 
     def advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed,
-                coupled, target_total):
-        """Advance the excess-wealth vector in place over days [t0, t0 + n_days)."""
+                coupled, target_total, stops=None, out=None):
+        """Advance the excess-wealth vector in place over days [t0, t0 + n_days),
+        storing the vector at each of ``stops`` in ``out`` as
+        ``_kernels_py.advance`` does."""
+        stops, out = _kernels_py.checked_block(excess, t0, n_days, stops, out)
         degen = target_total * DEGENERACY_RELATIVE
         bad_total = ctypes.c_double()
-        bad_t = fn(excess, excess.shape[0], key & MASK64, run, t0, n_days,
+        bad_t = fn(excess, excess.shape[0], key & MASK64, run, t0, stops,
+                   stops.size, None if out is None else out.ctypes.data,
                    beta, epsilon, w1, skewed, coupled, target_total, degen,
                    ctypes.byref(bad_total))
         if bad_t >= 0:

@@ -259,13 +259,14 @@ class _Exporter:
     def __init__(self, cfg: ExperimentConfig, out_dir: str):
         self.cfg = cfg
         self.out_dir = out_dir
+        self.params_hash = cfg.params_hash()  # once: every table carries it
         # (name, kind, header, columns, metadata) per table
         self.tables: List[Tuple[str, str, List[str], List[np.ndarray],
                                 Dict[str, str]]] = []
 
     def table(self, name: str, kind: str, header: Sequence[str],
               columns: Sequence[np.ndarray], units: str, **extra: str) -> None:
-        meta = {"params_hash": self.cfg.params_hash(), "seed": str(self.cfg.seed),
+        meta = {"params_hash": self.params_hash, "seed": str(self.cfg.seed),
                 "units": units, **extra}
         self.tables.append((name, kind, list(header),
                             [np.asarray(c) for c in columns], meta))
@@ -278,7 +279,7 @@ class _Exporter:
                                 columns, meta)
         files = [{"path": name, "kind": kind, "params_hash": meta["params_hash"],
                   "seed": self.cfg.seed} for name, kind, _, _, meta in self.tables]
-        doc = {"params_hash": self.cfg.params_hash(), "seed": self.cfg.seed,
+        doc = {"params_hash": self.params_hash, "seed": self.cfg.seed,
                "files": sorted(files, key=lambda e: e["path"])}
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -355,13 +356,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
                      [np.arange(1, cfg.n_agents + 1), *rec.sorted_snapshots],
                      "rank=1-based sorted position, t*=currency", run=str(r))
         if cfg.export_histograms:
-            # snap descends and subtracting wp rounds monotonically: reversed, it ascends
-            counts = [stats.bin_excess(edges, (snap - cfg.wp)[::-1])
-                      for snap in rec.sorted_snapshots]
+            # snapshots descend and subtracting wp rounds monotonically: reversed, they ascend
+            counts = stats.bin_excess(edges, (rec.sorted_snapshots - cfg.wp)[:, ::-1])
             ex.table(f"hist_run{r:02d}.csv", "histogram",
                      ["t", "bin_lo", "bin_hi", "count"],
                      [np.repeat(rec.snapshot_times, lo.size), np.tile(lo, len(counts)),
-                      np.tile(hi, len(counts)), np.concatenate(counts)],
+                      np.tile(hi, len(counts)), counts.ravel()],
                      "t=days, bin_*=excess currency, count=agents", run=str(r))
         hist = rec.histogram
         if hist is not None:

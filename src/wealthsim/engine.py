@@ -10,9 +10,13 @@ kernel backend and records observables at two granularities:
 Optionally, an excess-wealth histogram is accumulated on the fly at every
 stride tick inside one configured time window — full vectors are only kept
 at the sparse snapshot times, so the windowed histogram has to be streamed.
-Each event sorts the excess vector once: the snapshot, the series and the
-histogram (binned by ``stats.bin_excess``, which needs ascending input) all
-read that one sort.
+
+Events are recorded a block at a time: one kernel call advances through the
+next block of event days and stores the excess vector at each. The block is
+then recorded with one numpy call each for the row means, the sort, the
+Gini product and ``stats.bin_excess`` (which needs ascending rows); the
+snapshots, the series and the histogram all read that one sort. Each record
+is bit for bit what one kernel call and one sort per event would give.
 
 Because every random draw is a pure function of (seed, run, t, agent),
 records are bit-identical however the runs are scheduled: serially, or as
@@ -145,54 +149,77 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
     return [single(r) for r in range(params.n_runs)]
 
 
+#: Bytes of excess vectors one kernel call stores for recording, sized for
+#: the block to stay in L2: 13 events at N = 3600. There, on a 2-vCPU Xeon,
+#: blocks of 8-20 events ran engine.run in ~0.8x the time of one event per
+#: call, and blocks of 72 in 1.1-1.2x.
+_BLOCK_BYTES = 400_000
+
+
+def _rows(mask: np.ndarray):
+    """Index of the block rows ``mask`` selects; a slice, so a view, if all."""
+    return slice(None) if mask.all() else mask
+
+
 def _run_single(params: ModelParams, schedule: RecordingSchedule,
                 rank_ids: np.ndarray, run_id: int) -> TrajectoryRecord:
     key = stream_key(params.seed)
-    excess = np.full(params.n_agents, params.target_excess, dtype=np.float64)
-    target_total = params.n_agents * params.target_excess
+    n = params.n_agents
+    excess = np.full(n, params.target_excess, dtype=np.float64)
+    target_total = n * params.target_excess
     skewed = params.mode is Mode.SKEWED
     coupled = params.coupled
+    wp = params.wp
 
     stride = schedule.series_stride
     tick_times = np.arange(0, params.t_max + 1, stride, dtype=np.int64)
     snap_times = np.asarray(schedule.snapshot_times, dtype=np.int64)
     events = np.unique(np.concatenate([tick_times, snap_times]))
+    is_tick = np.isin(events, tick_times)
+    is_snap = np.isin(events, snap_times)
 
     n_ticks = tick_times.size
     mean_series = np.empty(n_ticks)
     max_series = np.empty(n_ticks)
     gini_series = np.empty(n_ticks)
     rank_series = np.empty((rank_ids.size, n_ticks))
-    sorted_snapshots = np.empty((snap_times.size, params.n_agents))
+    sorted_snapshots = np.empty((snap_times.size, n))
 
     window = schedule.histogram_window
     if window is not None:
         edges = np.asarray(schedule.histogram_edges, dtype=np.float64)
         hist_counts = np.zeros(edges.size + 1, dtype=np.int64)
+        in_window = is_tick & (window[0] <= events) & (events < window[1])
 
-    is_tick = np.isin(events, tick_times)
-    is_snap = np.isin(events, snap_times)
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    block = np.empty((min(max(1, _BLOCK_BYTES // (8 * n)), events.size), n))
     tick_pos = snap_pos = 0
     t_now = 0
-    for ev_idx, t_ev in enumerate(events):
-        if t_ev > t_now:
-            backends.advance(excess, key, run_id, t_now, int(t_ev - t_now),
-                             params.beta, params.epsilon, params.w1,
-                             skewed, coupled, target_total)
-            t_now = int(t_ev)
-        asc = np.sort(excess)
-        desc = asc[::-1] + params.wp
-        if is_tick[ev_idx]:
-            mean_series[tick_pos] = params.wp + excess.mean()
-            max_series[tick_pos] = desc[0]
-            gini_series[tick_pos] = stats._gini_sorted(desc[::-1])
-            rank_series[:, tick_pos] = desc[rank_ids - 1]
-            if window is not None and window[0] <= t_ev < window[1]:
-                hist_counts += stats.bin_excess(edges, asc)
-            tick_pos += 1
-        if is_snap[ev_idx]:
-            sorted_snapshots[snap_pos] = desc
-            snap_pos += 1
+    for lo in range(0, events.size, block.shape[0]):
+        stops = events[lo:lo + block.shape[0]]
+        here = slice(lo, lo + stops.size)
+        blk = block[:stops.size]
+        backends.advance(excess, key, run_id, t_now, int(stops[-1]) - t_now,
+                         params.beta, params.epsilon, params.w1,
+                         skewed, coupled, target_total, stops, blk)
+        t_now = int(stops[-1])
+        means = blk.mean(axis=1)
+        blk.sort(axis=1)  # ascending from here on
+        desc = blk[:, ::-1] + wp
+        ticks = _rows(is_tick[here])
+        tick_desc = desc[ticks]
+        at = slice(tick_pos, tick_pos + tick_desc.shape[0])
+        mean_series[at] = wp + means[ticks]
+        max_series[at] = tick_desc[:, 0]
+        # on the reversed view, as on one reversed row: the same bits
+        gini_series[at] = stats._gini_sorted(tick_desc[:, ::-1], ranks)
+        rank_series[:, at] = tick_desc[:, rank_ids - 1].T
+        tick_pos = at.stop
+        snaps = desc[is_snap[here]]
+        sorted_snapshots[snap_pos:snap_pos + snaps.shape[0]] = snaps
+        snap_pos += snaps.shape[0]
+        if window is not None and in_window[here].any():
+            hist_counts += stats.bin_excess(edges, blk[_rows(in_window[here])]).sum(axis=0)
 
     histogram = (None if window is None else
                  stats.LogHistogram(bin_edges=edges, counts=hist_counts, window=window))

@@ -23,16 +23,25 @@ def gini(wealth, wp: float = None) -> float:
     w = np.asarray(wealth, dtype=np.float64)
     if wp is not None:
         w = w - wp
-    return _gini_sorted(np.sort(w))
+    return float(_gini_sorted(np.sort(w)))
 
 
-def _gini_sorted(w_ascending: np.ndarray) -> float:
-    n = w_ascending.shape[0]
-    total = w_ascending.sum()
-    if total == 0.0:
+def _gini_sorted(w_ascending: np.ndarray, ranks: Optional[np.ndarray] = None):
+    """Gini of an ascending vector, or of each ascending row of a 2-D block.
+
+    ``ranks`` is ``arange(1, n + 1)`` as float64, built here when not given.
+    numpy hands rows that step backwards in memory (a reversed view) to its
+    own sequential dot product, so each row of such a block gets the bits
+    of that row alone; contiguous rows go to BLAS and can differ in the last
+    bit.
+    """
+    n = w_ascending.shape[-1]
+    total = w_ascending.sum(axis=-1)
+    if np.any(total == 0.0):
         raise DegenerateInput("gini undefined for an all-zero vector")
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    return float((2.0 * (ranks @ w_ascending) - (n + 1) * total) / (n * total))
+    if ranks is None:
+        ranks = np.arange(1, n + 1, dtype=np.float64)
+    return (2.0 * (w_ascending @ ranks) - (n + 1) * total) / (n * total)
 
 
 def gini_pairwise(wealth, wp: float = None) -> float:
@@ -87,21 +96,27 @@ def geometric_edges(lo: float, hi: float, n_bins: int) -> np.ndarray:
 
 
 def bin_excess(edges: np.ndarray, ascending: np.ndarray) -> np.ndarray:
-    """Counts (len(edges)+1) of one ascending excess vector, incl. open end bins.
+    """Counts (len(edges)+1) of one ascending excess vector, incl. open end bins;
+    of a 2-D block of ascending rows, one such row of counts per row.
 
     ``ascending`` must be sorted as ``np.sort`` sorts (nan last); the counts
     then come from one binary search per edge rather than one per value.
-    Raises ValueError for an unsorted vector, which would be miscounted.
+    Raises ValueError for an unsorted row, which would be miscounted.
     """
     ascending = np.asarray(ascending)
-    nan_or_ordered = (ascending[:-1] <= ascending[1:]) | np.isnan(ascending[1:])
-    if not nan_or_ordered.all():
-        raise ValueError("bin_excess needs an ascending vector")
-    # below[k] values lie under edges[k - 1]; the outer entries close the open bins
-    below = np.empty(edges.size + 2, dtype=np.intp)
-    below[0], below[-1] = 0, ascending.size
-    below[1:-1] = np.searchsorted(ascending, edges, side="left")
-    return np.diff(below)
+    if ascending.ndim not in (1, 2):
+        raise ValueError("bin_excess needs one ascending vector or a 2-D block of them")
+    ordered = ascending[..., :-1] <= ascending[..., 1:]
+    if not ordered.all() and not (ordered | np.isnan(ascending[..., 1:])).all():
+        raise ValueError("bin_excess needs ascending rows")
+    rows = np.atleast_2d(ascending)
+    # below[:, k] values lie under edges[k - 1]; the outer columns close the open bins
+    below = np.empty((rows.shape[0], edges.size + 2), dtype=np.intp)
+    below[:, 0], below[:, -1] = 0, rows.shape[1]
+    for row, row_below in zip(rows, below):
+        row_below[1:-1] = np.searchsorted(row, edges, side="left")
+    counts = np.diff(below)
+    return counts if ascending.ndim == 2 else counts[0]
 
 
 def log_histogram(snapshots, edges, wp: float = 0.0, window=None) -> LogHistogram:

@@ -142,7 +142,8 @@ def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:
     """Read a table written by write_table.
 
     Returns (metadata, header, columns); a column is int64 when every one of
-    its cells is a plain integer literal, float64 otherwise.
+    its cells is a plain integer literal, else float64 when every cell parses
+    as a float, else str.
     """
     metadata: Dict[str, str] = {}
     header: List[str] = []

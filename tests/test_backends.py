@@ -26,10 +26,11 @@ MODES = {"free": dict(epsilon=0.0, skewed=False, coupled=False),
 
 
 def _advance(name, excess, *, beta=0.06, epsilon=0.0, skewed=False,
-             coupled=False, run=1, t0=0, days=400, target=None):
+             coupled=False, run=1, t0=0, days=400, target=None, stops=None, out=None):
     fn = backends.available()[name]
     target = excess.sum() if target is None else target
-    fn(excess, KEY, run, t0, days, beta, epsilon, 1000.0, skewed, coupled, target)
+    fn(excess, KEY, run, t0, days, beta, epsilon, 1000.0, skewed, coupled, target,
+       stops, out)
     return excess
 
 
@@ -81,15 +82,24 @@ def test_coupled_modes_match_to_roundoff_for_any_lane_tail(mode, n):
 @pytest.mark.parametrize("name", sorted(backends.available()))
 def test_call_boundaries_do_not_change_the_trajectory(name, mode):
     # The C kernel carries the pending rescale from one day into the next and
-    # settles it before returning; splitting the days over calls must give
-    # the same bits as one call.
+    # settles it at every stop and before returning; splitting the days over
+    # calls, or over the stops of one call, must give the same bits as one
+    # call, and each stored row the vector the calls leave at that day.
     target = 600.0 * N
     whole = _advance(name, np.full(N, 600.0), days=12, target=target,
                      **MODES[mode])
     split = np.full(N, 600.0)
-    for t0, days in ((0, 5), (5, 1), (6, 6)):
+    per_call = []
+    for t0, days in ((0, 0), (0, 5), (5, 1), (6, 6)):
         _advance(name, split, t0=t0, days=days, target=target, **MODES[mode])
+        per_call.append(split.copy())
     np.testing.assert_array_equal(whole, split)
+    block = np.full(N, 600.0)
+    out = np.full((4, N), np.nan)
+    _advance(name, block, days=12, target=target, stops=np.array([0, 5, 6, 12]),
+             out=out, **MODES[mode])
+    np.testing.assert_array_equal(block, whole)
+    np.testing.assert_array_equal(out, per_call)
 
 
 def _degenerate(name, excess, days, target, run=0):
@@ -105,6 +115,7 @@ def test_both_backends_flag_degenerate_totals():
     for name in ("python", "c"):
         left[name] = _degenerate(name, np.full(N, 1e-305), 5, 600.0 * N, run=3)
         assert (left[name][1].run_id, left[name][1].t) == (3, 0)
+        assert type(left[name][1].total) is float
     (a, exc_a), (b, exc_b) = left["python"], left["c"]
     np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
     np.testing.assert_allclose(exc_a.total, exc_b.total, rtol=5e-13, atol=0.0)
@@ -121,6 +132,54 @@ def test_degenerate_day_after_a_rescale_leaves_the_same_vector():
     assert exc_a.t == exc_b.t == 1
     np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
     np.testing.assert_allclose(exc_a.total, exc_b.total, rtol=5e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(backends.available()))
+def test_collapse_inside_a_block_names_its_run_and_day(name):
+    # As above, day 3's rescale by a negative target flips the sign and day 4
+    # collapses; day 4 lies inside the block's second segment, [3, 6).
+    out = np.full((3, N), np.nan)
+    with pytest.raises(NormalizationDegenerate) as ei:
+        backends.available()[name](np.full(N, 600.0), KEY, 5, 3, 6, 0.06, 0.0,
+                                   1000.0, False, True, -1.0, [3, 6, 9], out)
+    assert (ei.value.run_id, ei.value.t) == (5, 4)
+    assert type(ei.value.total) is float
+    np.testing.assert_array_equal(out[0], 600.0)
+    assert np.isnan(out[1:]).all()
+
+
+def _read_only(shape):
+    a = np.empty(shape)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("stops, out", [
+    pytest.param([5, 3], None, id="decreasing"),
+    pytest.param([3, 3, 12], None, id="repeated"),
+    pytest.param([-1, 12], None, id="before-t0"),
+    pytest.param([5, 10], None, id="short-of-n_days"),
+    pytest.param([5, 13], None, id="past-n_days"),
+    pytest.param([], None, id="empty"),
+    pytest.param([5.0, 12.0], None, id="float-days"),
+    pytest.param([[5, 12]], None, id="2-d"),
+    pytest.param(None, np.empty((1, N)), id="out-without-stops"),
+    pytest.param([5, 12], np.empty((3, N)), id="out-rows"),
+    pytest.param([5, 12], np.empty((2, N + 1)), id="out-columns"),
+    pytest.param([5, 12], np.empty(2 * N), id="out-1-d"),
+    pytest.param([5, 12], np.empty((2, N), dtype=np.float32), id="out-float32"),
+    pytest.param([5, 12], np.empty((2, 2 * N))[:, ::2], id="out-strided"),
+    pytest.param([5, 12], np.empty((2, N), order="F"), id="out-fortran"),
+    pytest.param([5, 12], np.empty((2, N)).tolist(), id="out-list"),
+    pytest.param([5, 12], _read_only((2, N)), id="out-read-only"),
+])
+@pytest.mark.parametrize("name", sorted(backends.available()))
+def test_bad_block_is_refused_before_any_day_runs(name, stops, out):
+    excess = np.full(N, 600.0)
+    with pytest.raises(ValueError):
+        _advance(name, excess, days=12, target=600.0 * N, stops=stops, out=out,
+                 **MODES["reset"])
+    np.testing.assert_array_equal(excess, 600.0)
 
 
 def test_selected_backend_is_reported():

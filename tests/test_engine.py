@@ -1,5 +1,7 @@
 """Driver-level behavior: scheduling, recording, determinism, error context."""
 
+import importlib
+import os
 import pickle
 
 import numpy as np
@@ -14,10 +16,16 @@ from wealthsim import (
     engine,
     max_log_excess,
     run,
+    stats,
 )
 from wealthsim.errors import NormalizationDegenerate, NotConverged
+from wealthsim.params import Mode
+from wealthsim.rng import stream_key
 
 from conftest import LATE_WINDOW, N_AGENTS
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def small_params(**kw):
@@ -237,3 +245,82 @@ def test_degenerate_normalization_survives_pickling(exc, fields):
     assert type(back) is type(exc)
     assert [getattr(back, f) for f in fields] == [getattr(exc, f) for f in fields]
     assert str(back) == str(exc)
+
+
+def _events(params, sched):
+    ticks = np.arange(0, params.t_max + 1, sched.series_stride)
+    return np.unique(np.concatenate([ticks, np.asarray(sched.snapshot_times, dtype=np.int64)]))
+
+
+def _per_event_record(params, sched, run_id):
+    """Records made with one kernel call and one sort per event: the
+    reference the block recording must match bit for bit."""
+    n = params.n_agents
+    excess = np.full(n, params.target_excess)
+    rank_ids = stats.default_ranks(n)
+    edges = np.asarray(sched.histogram_edges)
+    window = sched.histogram_window
+    out = {f: [] for f in ("mean_series", "max_series", "gini_series", "rank_series",
+                           "sorted_snapshots")}
+    counts = np.zeros(edges.size + 1, dtype=np.int64)
+    t_now = 0
+    for t in _events(params, sched).tolist():
+        backends.advance(excess, stream_key(params.seed), run_id, t_now, t - t_now,
+                         params.beta, params.epsilon, params.w1,
+                         params.mode is Mode.SKEWED, params.coupled,
+                         n * params.target_excess)
+        t_now = t
+        asc = np.sort(excess)
+        desc = asc[::-1] + params.wp
+        if t % sched.series_stride == 0:
+            out["mean_series"].append(params.wp + excess.mean())
+            out["max_series"].append(desc[0])
+            out["gini_series"].append(stats._gini_sorted(desc[::-1]))
+            out["rank_series"].append(desc[rank_ids - 1])
+            if window[0] <= t < window[1]:
+                counts += stats.bin_excess(edges, asc)
+        if t in sched.snapshot_times:
+            out["sorted_snapshots"].append(desc)
+    out = {f: np.array(v) for f, v in out.items()}
+    out["rank_series"] = out["rank_series"].T
+    return out, counts
+
+
+@pytest.mark.parametrize("kernel", sorted(backends.available()))
+@pytest.mark.parametrize("mode", ["free", "reset", "skewed"])
+def test_block_recording_matches_one_event_per_call(monkeypatch, kernel, mode):
+    monkeypatch.setattr(engine.backends, "advance", backends.available()[kernel])
+    params = small_params(mode=mode, epsilon=-0.015 if mode == "skewed" else 0.0,
+                          n_runs=2)
+    sched = default_schedule(600, n_snapshots=12, series_stride=5,
+                             histogram_edges=tuple(np.geomspace(1e-4, 1e7, 23)),
+                             histogram_window=(111, 492))
+    events = _events(params, sched)
+    window_events = np.flatnonzero((events >= 111) & (events < 492))
+    block = 7
+    # a last block only partly full; a window that opens and closes inside a block
+    assert events.size % block
+    assert window_events[0] % block and (window_events[-1] + 1) % block
+    want = [_per_event_record(params, sched, r) for r in range(params.n_runs)]
+    for budget in (1, 8 * params.n_agents * block, engine._BLOCK_BYTES):
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
+        for rec, (fields, counts) in zip(run(params, sched), want, strict=True):
+            for field, expect in fields.items():
+                assert getattr(rec, field).tobytes() == expect.tobytes(), (budget, field)
+            assert rec.histogram.counts.tobytes() == counts.tobytes()
+
+
+def test_traced_run_counts_every_agent_day_and_event(monkeypatch):
+    # perfbench's tracer reads agent-days off each kernel call's vector and
+    # n_days, and the event count off _run_single's params and schedule.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    params = small_params(n_agents=400, n_runs=2)
+    sched = default_schedule(600, n_snapshots=12, series_stride=5)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        engine.run(params, sched)
+    metrics = tracing.layer_metrics(tracer.spans, {}, wall_s=1.0)
+    assert metrics["kernel.agent_days"] == 400 * 600 * 2
+    assert metrics["engine.events"] == 2 * _events(params, sched).size
+    assert 0 < metrics["kernel.calls"] < metrics["engine.events"]

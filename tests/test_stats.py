@@ -120,9 +120,21 @@ def test_sorted_binning_matches_per_value_search(xs):
     assert np.array_equal(bin_excess(BIN_EDGES, np.sort(x)), per_value_bins(BIN_EDGES, x))
 
 
+@given(st.lists(st.lists(st.one_of(st.sampled_from(AWKWARD_EXCESS), st.floats(width=64)),
+                         min_size=7, max_size=7), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_block_binning_matches_one_row_at_a_time(rows):
+    block = np.sort(np.array(rows, dtype=np.float64).reshape(-1, 7), axis=1)
+    counts = bin_excess(BIN_EDGES, block)
+    assert counts.shape == (block.shape[0], BIN_EDGES.size + 1)
+    for row, row_counts in zip(block, counts):
+        assert np.array_equal(row_counts, bin_excess(BIN_EDGES, row))
+
+
 @pytest.mark.parametrize("x", [[2.0, 1.0], [0.0, 5.0, 4.0, 9.0], [1.0, np.nan, 0.5],
-                               [np.nan, 1.0]],
-                         ids=["descending", "one-step-down", "nan-inside", "nan-first"])
+                               [np.nan, 1.0], [[1.0, 2.0], [2.0, 1.0]], [[[1.0, 2.0]]]],
+                         ids=["descending", "one-step-down", "nan-inside", "nan-first",
+                              "second-row-descending", "3-d"])
 def test_unsorted_excess_is_refused(x):
     with pytest.raises(ValueError):
         bin_excess(BIN_EDGES, np.array(x))
