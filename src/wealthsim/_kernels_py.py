@@ -54,6 +54,7 @@ def advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled,
     at ``stops[i]`` is also stored in ``out[i]`` (see ``checked_block``).
     A collapsed total raises NormalizationDegenerate naming ``run`` and the day.
     """
+    target_total = float(target_total)
     stops, out = checked_block(excess, t0, n_days, stops, out)
     idx = np.arange(1, excess.shape[0] + 1, dtype=np.uint64)
     degen = target_total * DEGENERACY_RELATIVE

@@ -113,6 +113,7 @@ def _load(cmd):
         """Advance the excess-wealth vector in place over days [t0, t0 + n_days),
         storing the vector at each of ``stops`` in ``out`` as
         ``_kernels_py.advance`` does."""
+        target_total = float(target_total)
         stops, out = _kernels_py.checked_block(excess, t0, n_days, stops, out)
         degen = target_total * DEGENERACY_RELATIVE
         bad_total = ctypes.c_double()

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 simulate    run the ensemble and export series/rank/snapshot/histogram/flux data
-analytic    export closed-form quantile envelope curves and a scalar report
+analytic    export closed-form quantile curves and a one-row constants report
 stationary  solve the stationary eigenproblem over an epsilon sweep
 correlate   run the ensemble and export flux matrices plus the divide report
 
@@ -309,7 +309,10 @@ def read_histogram(path: str) -> stats.LogHistogram:
     with the open-ended bins first and last (as written by simulate's
     windowed export).
     """
-    _, _, cols = tableio.read_table(path)
+    try:
+        _, _, cols = tableio.read_table(path)
+    except ParseError as exc:
+        raise ParseError([f"{path}: {p}" for p in exc.problems]) from None
     for need in ("bin_lo", "bin_hi", "count"):
         if need not in cols:
             raise ParseError([f"{path}: missing column {need!r}"])
@@ -434,16 +437,17 @@ def cmd_analytic(cfg: ExperimentConfig, out_dir: str) -> int:
                  ["t", "log_excess"],
                  [t_grid, np.array([x for _, x in curve.samples])],
                  "t=days, log_excess=ln(currency)", k=tableio.format_value(k))
-    names = ["x0", "nu_drift", "sigma_250", "sigma_1000", "sigma_4000",
-             "peak_time_k1", "peak_height_k1"]
-    values = [env.x0, env.drift,
-              analytics.sigma_t(cfg.beta, 250.0),
-              analytics.sigma_t(cfg.beta, 1000.0),
-              analytics.sigma_t(cfg.beta, 4000.0),
-              analytics.peak_time(env, 1.0), analytics.peak_height(env, 1.0)]
-    ex.table("analytic_report.csv", "series", ["name", "value"],
-             [np.array(names, dtype=str), np.array(values, dtype=np.float64)],
-             "value=mixed (x in ln currency, t in days, rates per day)")
+    report = {"x0": env.x0, "nu_drift": env.drift,
+              "sigma_250": analytics.sigma_t(cfg.beta, 250.0),
+              "sigma_1000": analytics.sigma_t(cfg.beta, 1000.0),
+              "sigma_4000": analytics.sigma_t(cfg.beta, 4000.0),
+              "peak_time_k1": analytics.peak_time(env, 1.0),
+              "peak_height_k1": analytics.peak_height(env, 1.0)}
+    ex.table("analytic_report.csv", "series", list(report),
+             [np.array([v], dtype=np.float64) for v in report.values()],
+             "x0=ln(currency), nu_drift=ln(currency) per day, sigma_250=ln(currency), "
+             "sigma_1000=ln(currency), sigma_4000=ln(currency), peak_time_k1=days, "
+             "peak_height_k1=ln(currency)")
     return ex.manifest()
 
 

@@ -15,14 +15,13 @@ the written float64 values bit-for-bit; integer-valued columns are written
 and read as integers (seeds are 64-bit, wider than a float64 mantissa).
 
 ``format_value`` is the one definition of a cell. A column holds integers
-(uint64 only below 2**63), floats of up to 64 bits, or str; ``write_table``
-refuses every other dtype. It casts the numeric columns to int64 and
-float64, which changes no cell's text, and writes a table without str
-columns through the compiled ``backends.format_rows``, which gives the
-bytes ``format_value`` gives; it formats any other table (a str column, or
-no compiled library) with ``format_value``, cell by cell. Rows are
-formatted and written in blocks of about ``BLOCK_CELLS`` cells, so the text
-held in memory stays small however long or wide the table is.
+(uint64 only below 2**63) or floats of up to 64 bits; ``write_table``
+refuses every other dtype, str included. It casts the columns to int64 and
+float64, which changes no cell's text, and writes them through the compiled
+``backends.format_rows``, which gives the bytes ``format_value`` gives;
+without the compiled library it formats each cell with ``format_value``.
+Rows are formatted and written in blocks of about ``BLOCK_CELLS`` cells,
+so the text held in memory stays small however long or wide the table is.
 """
 
 from __future__ import annotations
@@ -47,11 +46,8 @@ def format_value(v) -> str:
     """One cell: integers verbatim, floats at 17 significant digits.
 
     Integral floats get a trailing '.0' so a column's int/float nature
-    survives the round trip. Strings pass through (``write_table`` refuses
-    those holding a comma or newline).
+    survives the round trip.
     """
-    if isinstance(v, str):
-        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     s = format(float(v), ".17g")
@@ -62,12 +58,11 @@ def format_value(v) -> str:
 
 def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
                     metadata: Dict[str, str]) -> None:
-    """Refuse a column that holds neither integers, floats of up to 64 bits
-    nor str, and what read_table could not return intact: it splits lines at
+    """Refuse a column that holds neither integers nor floats of up to 64
+    bits, and what read_table could not return intact: it splits lines at
     commas, strips header names and metadata, ends a metadata key at the
     first ':', keys columns by name, skips blank lines and lines starting
-    with '#', and reads a column whose cells all look like numbers as a
-    numeric column, as int64 if every cell is an integer."""
+    with '#', and reads every column as int64 or float64."""
     line = ",".join(header)
     if not line.strip() or line.startswith("#"):
         raise ValueError(f"header {header!r} would read as a blank or comment line")
@@ -83,28 +78,18 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
                 or key != key.strip() or value != value.strip()):
             raise ValueError(f"metadata entry {key!r}: {value!r} contains a newline, "
                              "a ':' in the key or surrounding whitespace")
-    for j, (name, c) in enumerate(zip(header, cols)):
-        if not (c.dtype.kind in "iuU" or c.dtype.kind == "f" and c.dtype.itemsize <= 8):
+    for name, c in zip(header, cols):
+        if not (c.dtype.kind in "iu" or c.dtype.kind == "f" and c.dtype.itemsize <= 8):
             raise ValueError(f"column {name!r} has dtype {c.dtype}; a column must hold "
-                             "integers, floats of up to 64 bits or str")
+                             "integers or floats of up to 64 bits")
         if c.dtype.kind == "u" and c.size and c.max() > _INT64_MAX:
             raise ValueError(f"column {name!r} holds an integer above int64's range")
-        if c.dtype.kind != "U":
-            continue
-        if any((np.char.find(c, ch) >= 0).any() for ch in ",\n\r"):
-            raise ValueError(f"column {name!r} has a cell with a comma or newline")
-        if j == 0 and np.char.startswith(c, "#").any():
-            raise ValueError(f"first column {name!r} has a cell starting with '#'")
-        if len(cols) == 1 and any(not v.strip() for v in c.tolist()):
-            raise ValueError(f"one-column table {name!r} has a blank cell")
-        if c.size and _typed_column(c.tolist()).dtype.kind != "U":
-            raise ValueError(f"str column {name!r} would read back as numbers")
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
                 metadata: Dict[str, str]) -> None:
     """Write a metadata-headed CSV with '\\n' newlines. Columns must be equal
-    length and hold integers, floats of up to 64 bits or str.
+    length and hold integers or floats of up to 64 bits.
 
     Raises ValueError, before the file is opened, for any other dtype and
     for a table that would not read back (see ``_check_writable``).
@@ -118,10 +103,9 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
             raise ValueError("all columns must be 1-d and equally long")
     _check_writable(header, cols, metadata)
     # format_value applies int() or float() to each cell: the casts change no text
-    cols = [c if c.dtype.kind == "U" else
-            np.ascontiguousarray(c, dtype=np.int64 if c.dtype.kind in "iu" else np.float64)
+    cols = [np.ascontiguousarray(c, dtype=np.int64 if c.dtype.kind in "iu" else np.float64)
             for c in cols]
-    format_rows = None if any(c.dtype.kind == "U" for c in cols) else backends.format_rows
+    format_rows = backends.format_rows
     rows = max(1, BLOCK_CELLS // len(cols))
     with open(path, "wb") as fh:
         head = [f"# {k}: {v}\n" for k, v in metadata.items()] + [",".join(header), "\n"]
@@ -142,8 +126,9 @@ def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:
     """Read a table written by write_table.
 
     Returns (metadata, header, columns); a column is int64 when every one of
-    its cells is a plain integer literal, else float64 when every cell parses
-    as a float, else str.
+    its cells is a plain integer literal, else float64. Raises ParseError for
+    ragged rows, a missing header and a cell that is neither (naming its
+    column).
     """
     metadata: Dict[str, str] = {}
     header: List[str] = []
@@ -175,20 +160,21 @@ def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:
     if problems:
         raise ParseError(problems)
 
-    columns = {name: _typed_column([r[j] for r in rows]) for j, name in enumerate(header)}
+    columns = {name: _typed_column(name, [r[j] for r in rows])
+               for j, name in enumerate(header)}
     return metadata, header, columns
 
 
-def _typed_column(cells: List[str]) -> np.ndarray:
-    """A column as read_table types it: int64 when every cell is a plain
-    integer literal, else float64 when every cell parses as a float, else str.
-    Raises ParseError for integer literals outside int64."""
+def _typed_column(name: str, cells: List[str]) -> np.ndarray:
+    """Column ``name`` as read_table types it: int64 when every cell is a
+    plain integer literal, else float64. Raises ParseError naming the column
+    for an integer literal outside int64 or a cell float() does not parse."""
     if cells and all(_INT_RE.match(c) for c in cells):
         try:
             return np.array([int(c) for c in cells], dtype=np.int64)
         except OverflowError:
-            raise ParseError(["integer column holds a value outside int64"]) from None
+            raise ParseError([f"column {name!r} holds an integer outside int64"]) from None
     try:
         return np.array([float(c) for c in cells], dtype=np.float64)
-    except ValueError:
-        return np.array(cells, dtype=str)
+    except ValueError as exc:
+        raise ParseError([f"column {name!r}: {exc}"]) from None

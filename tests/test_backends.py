@@ -135,6 +135,13 @@ def test_degenerate_day_after_a_rescale_leaves_the_same_vector():
 
 
 @pytest.mark.parametrize("name", sorted(backends.available()))
+def test_numpy_scalar_target_gives_a_float_threshold(name):
+    _, exc = _degenerate(name, np.full(N, 600.0), 5, np.float64(-1.0))
+    assert type(exc.threshold) is float
+    assert "np.float64" not in str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(backends.available()))
 def test_collapse_inside_a_block_names_its_run_and_day(name):
     # As above, day 3's rescale by a negative target flips the sign and day 4
     # collapses; day 4 lies inside the block's second segment, [3, 6).

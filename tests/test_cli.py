@@ -438,6 +438,17 @@ def test_correlate_exports_flux_and_divide_report(tmp_path):
     np.testing.assert_array_equal(fcols["compressed"], fm.C.ravel())
 
 
+def test_non_numeric_histogram_cell_is_a_config_error(tmp_path, capsys):
+    hist = tmp_path / "h.csv"
+    hist.write_text("bin_lo,bin_hi,count\n0.0,1.0,0\n1.0,abc,3\n2.0,inf,1\n",
+                    encoding="utf-8")
+    path = write_cfg(tmp_path, BASE + f"epsilon_sweep = -0.03\ncompare_histogram = {hist}\n")
+    rc = cli.main(["stationary", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'bin_hi'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --- analytic ---------------------------------------------------------------
 
 
@@ -458,12 +469,14 @@ def test_analytic_exports_curves_and_report(tmp_path):
     np.testing.assert_array_equal(qcols["t"], t_grid)
     np.testing.assert_array_equal(qcols["log_excess"],
                                   np.array([x for _, x in curve.samples]))
-    _, _, rcols = read_table(out / "analytic_report.csv")
-    report = dict(zip(rcols["name"], rcols["value"]))
-    assert report["x0"] == pytest.approx(math.log(600.0))
-    assert report["nu_drift"] == pytest.approx(analytics.drift_velocity(0.06))
-    assert report["sigma_1000"] == pytest.approx(analytics.sigma_t(0.06, 1000.0))
-    assert report["peak_time_k1"] == pytest.approx(analytics.peak_time(env, 1.0))
+    _, rheader, rcols = read_table(out / "analytic_report.csv")
+    assert rheader == ["x0", "nu_drift", "sigma_250", "sigma_1000", "sigma_4000",
+                       "peak_time_k1", "peak_height_k1"]
+    assert all(c.shape == (1,) and c.dtype == np.float64 for c in rcols.values())
+    assert rcols["x0"][0] == pytest.approx(math.log(600.0))
+    assert rcols["nu_drift"][0] == pytest.approx(analytics.drift_velocity(0.06))
+    assert rcols["sigma_1000"][0] == pytest.approx(analytics.sigma_t(0.06, 1000.0))
+    assert rcols["peak_time_k1"][0] == pytest.approx(analytics.peak_time(env, 1.0))
 
 
 # --- stationary -------------------------------------------------------------
