@@ -1,10 +1,12 @@
-"""Pure-numpy day-loop kernel: the fallback when the C kernel can't be built.
+"""Pure-Python backend: the numpy kernel and the cell-by-cell CSV writer.
 
-Semantically identical to the compiled kernel in ``_kernel.c`` — both
-consume the same counter-based random stream and apply the same per-element
-operations in the same order, so they agree bit-for-bit on the draws and in
-free mode. The coupled modes agree to float roundoff: numpy sums the
-renormalizing total pairwise, the C kernel in 16 compensated lanes.
+``advance`` is semantically identical to the compiled kernel in
+``_kernel.c`` — both consume the same counter-based random stream and apply
+the same per-element operations in the same order, so they agree
+bit-for-bit on the draws and in free mode. The coupled modes agree to float
+roundoff: numpy sums the renormalizing total pairwise, the C kernel in 16
+compensated lanes. ``write_rows`` writes each cell as ``format_value``
+defines it, the bytes the compiled writer gives too.
 """
 
 from __future__ import annotations
@@ -14,6 +16,30 @@ import numpy as np
 from .errors import NormalizationDegenerate
 from .model import DEGENERACY_RELATIVE
 from .rng import day_uniforms
+
+
+def format_value(v) -> str:
+    """One cell: integers verbatim, floats at 17 significant digits.
+
+    Integral floats get a trailing '.0' so a column's int/float nature
+    survives the round trip.
+    """
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    s = format(float(v), ".17g")
+    if not any(ch in s for ch in ".eni"):  # no '.', exponent, nan or inf
+        s += ".0"
+    return s
+
+
+def write_rows(fh, columns, rows):
+    """Write every row of ``columns``, equally long 1-d int64 or float64
+    arrays, to the binary file ``fh`` as CSV lines, ``rows`` rows at a time."""
+    n = columns[0].shape[0]
+    for start in range(0, n, rows):
+        block = zip(*(c[start:start + rows] for c in columns))
+        text = "".join(",".join(map(format_value, row)) + "\n" for row in block)
+        fh.write(text.encode("utf-8"))
 
 
 def checked_block(excess, t0, n_days, stops, out):

@@ -12,10 +12,9 @@ library. Without a compiler, or if that retry fails too, a warning names the
 cause and the numpy kernel of ``_kernels_py`` runs instead
 (``compile_command`` is then ``None``).
 
-The same library formats CSV rows: ``format_rows`` writes int64 and float64
-columns as the text ``tableio.format_value`` defines, for ``tableio`` to
-write out. It is ``None`` under the numpy kernel, and ``tableio`` then
-formats every cell in Python.
+Either backend also writes CSV rows: ``write_rows`` writes int64 and float64
+columns as the text ``_kernels_py.format_value`` defines, through the same
+library's ``format_rows`` or, under the numpy kernel, cell by cell.
 """
 
 from __future__ import annotations
@@ -100,9 +99,9 @@ def _build(cmd) -> str:
 
 
 def _load(cmd):
-    """The library that ``cmd`` compiles, as (advance, format_rows): an
+    """The library that ``cmd`` compiles, as (advance, write_rows): an
     ``advance`` with the numpy kernel's signature and a ``compile_command``
-    attribute, and the row formatter."""
+    attribute, and a ``write_rows`` with ``_kernels_py.write_rows``'s."""
     lib = ctypes.CDLL(_build(cmd))
     fn = lib.advance
     fn.argtypes = _ARGTYPES
@@ -125,40 +124,40 @@ def _load(cmd):
             raise NormalizationDegenerate(bad_total.value, degen, run_id=run, t=bad_t)
 
     advance.compile_command = tuple(cmd)
-    return advance, _formatter(lib)
+    return advance, _writer(lib)
 
 
-def _formatter(lib):
-    """``format_rows`` of the loaded library, with its arguments checked."""
+def _writer(lib):
+    """``write_rows`` through the loaded library's ``format_rows``."""
     fn = lib.format_rows
     fn.argtypes = _FORMAT_ARGTYPES
     fn.restype = ctypes.c_int64
     cell_bytes = ctypes.c_int64.in_dll(lib, "cell_bytes").value
 
-    def format_rows(columns, start, stop, out):
-        """Write rows [start, stop) of ``columns``, 1-d C-contiguous int64 or
-        float64 arrays, as CSV lines into ``out``, a uint8 array of at least
-        ``(stop - start) * len(columns) * format_rows.cell_bytes`` bytes.
-        Returns the number of bytes written."""
-        if not columns or any(c.dtype not in _FORMAT_DTYPES or c.ndim != 1
-                              or not c.flags.c_contiguous for c in columns):
-            raise ValueError("columns must be 1-d C-contiguous int64 or float64 arrays")
-        if not 0 <= start <= stop <= min(c.shape[0] for c in columns):
-            raise ValueError(f"rows [{start}, {stop}) are not all in the columns")
-        if out.shape[0] < (stop - start) * len(columns) * cell_bytes:
-            raise ValueError("output buffer too small")
+    def write_rows(fh, columns, rows):
+        """Write every row of ``columns``, equally long 1-d C-contiguous int64
+        or float64 arrays, to the binary file ``fh`` as the CSV lines
+        ``_kernels_py.write_rows`` writes, ``rows`` >= 1 rows at a time."""
+        if rows < 1 or not columns or any(
+                c.dtype not in _FORMAT_DTYPES or c.ndim != 1 or c.shape != columns[0].shape
+                or not c.flags.c_contiguous for c in columns):
+            raise ValueError("write_rows needs rows >= 1 and equally long 1-d "
+                             "C-contiguous int64 or float64 columns")
+        n = columns[0].shape[0]
         pointers = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
         is_float = bytes(c.dtype.kind == "f" for c in columns)
-        return fn(pointers, is_float, len(columns), start, stop - start, out)
+        buf = np.empty(rows * len(columns) * cell_bytes, dtype=np.uint8)
+        for start in range(0, n, rows):
+            size = fn(pointers, is_float, len(columns), start, min(rows, n - start), buf)
+            fh.write(buf[:size])
 
-    format_rows.cell_bytes = cell_bytes
-    return format_rows
+    write_rows.cell_bytes = cell_bytes
+    return write_rows
 
 
 def _select():
-    """(name, advance, format_rows) of the C library, built for the host CPU
-    or else portably, or of the numpy kernel (no formatter) if neither build
-    loads."""
+    """(name, advance, write_rows) of the C library, built for the host CPU
+    or else portably, or of the pure-Python backend if neither build loads."""
     for cmd in ([_CC, _NATIVE, *_CFLAGS], [_CC, *_CFLAGS]):
         try:
             return ("c", *_load(cmd))
@@ -167,10 +166,10 @@ def _select():
     cause = getattr(failure, "stderr", None) or failure
     warnings.warn(f"C kernel unavailable, using the numpy kernel: {cause}",
                   RuntimeWarning, stacklevel=2)
-    return "python", _kernels_py.advance, None
+    return "python", _kernels_py.advance, _kernels_py.write_rows
 
 
-backend_name, advance, format_rows = _select()
+backend_name, advance, write_rows = _select()
 compile_command = getattr(advance, "compile_command", None)
 
 

@@ -203,8 +203,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     problems: List[str] = []
     values: Dict[str, object] = {}
-    key_lines: Dict[str, int] = {}
-    seen: set = set()  # includes keys whose values failed to parse
+    key_lines: Dict[str, int] = {}  # includes keys whose values failed to parse
 
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -218,11 +217,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _CODECS:
             problems.append(f"line {ln}: unknown key {key!r}")
             continue
-        if key in seen:
+        if key in key_lines:
             problems.append(f"line {ln}: duplicate key {key!r} "
-                            f"(first set on line {key_lines.get(key, '?')})")
+                            f"(first set on line {key_lines[key]})")
             continue
-        seen.add(key)
         key_lines[key] = ln
         try:
             values[key] = _CODECS[key][0](value)
@@ -230,7 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"line {ln}: {key}: {exc}")
 
     for key in _REQUIRED:
-        if key not in seen:
+        if key not in key_lines:
             problems.append(f"missing required key {key!r}")
 
     if problems:
@@ -324,9 +322,10 @@ def read_histogram(path: str) -> stats.LogHistogram:
     window = None
     if "window_start" in cols and "window_end" in cols and len(cols["window_start"]):
         window = (int(cols["window_start"][0]), int(cols["window_end"][0]))
-    return stats.LogHistogram(bin_edges=edges,
-                              counts=np.asarray(cols["count"], dtype=np.int64),
-                              window=window)
+    try:
+        return stats.LogHistogram(bin_edges=edges, counts=cols["count"], window=window)
+    except ValueError as exc:
+        raise ParseError([f"{path}: {exc}"]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +494,11 @@ def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "analytic": cmd_analytic,
-    "stationary": cmd_stationary,
-    "correlate": cmd_correlate,
+_COMMANDS = {  # name -> (function, help)
+    "simulate": (cmd_simulate, "run the ensemble and export series/histogram/flux CSVs"),
+    "analytic": (cmd_analytic, "export closed-form quantile curves and scalar report"),
+    "stationary": (cmd_stationary, "solve the stationary eigenproblem over an epsilon sweep"),
+    "correlate": (cmd_correlate, "run the ensemble and export flux matrices + divide report"),
 }
 
 
@@ -508,11 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wealthsim",
         description="Multiplicative wealth-dynamics simulator and analytics exporter")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("simulate", "run the ensemble and export series/histogram/flux CSVs"),
-            ("analytic", "export closed-form quantile curves and scalar report"),
-            ("stationary", "solve the stationary eigenproblem over an epsilon sweep"),
-            ("correlate", "run the ensemble and export flux matrices + divide report")):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to key = value config file")
         p.add_argument("--out", default=None, help="output directory (default: config's out_dir)")
@@ -535,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = dataclasses.replace(parse_config(text), **overrides)
         out_dir = args.out if args.out is not None else cfg.out_dir
-        n_files = _COMMANDS[args.command](cfg, out_dir)
+        n_files = _COMMANDS[args.command][0](cfg, out_dir)
     except (ParseError, ParameterError) as exc:
         print("wealthsim: config error:\n" + "\n".join(exc.problems), file=sys.stderr)
         return 2

@@ -82,6 +82,8 @@ class LogHistogram:
             raise ValueError("bin edges must be strictly increasing")
         if self.counts.shape != (self.bin_edges.size + 1,):
             raise ValueError("counts must have len(bin_edges) + 1 entries")
+        if np.any(self.counts < 0):
+            raise ValueError("counts must not be negative")
 
     @property
     def total(self) -> int:

@@ -17,11 +17,11 @@ and read as integers (seeds are 64-bit, wider than a float64 mantissa).
 ``format_value`` is the one definition of a cell. A column holds integers
 (uint64 only below 2**63) or floats of up to 64 bits; ``write_table``
 refuses every other dtype, str included. It casts the columns to int64 and
-float64, which changes no cell's text, and writes them through the compiled
-``backends.format_rows``, which gives the bytes ``format_value`` gives;
-without the compiled library it formats each cell with ``format_value``.
-Rows are formatted and written in blocks of about ``BLOCK_CELLS`` cells,
-so the text held in memory stays small however long or wide the table is.
+float64, which changes no cell's text, and writes them through the
+backend's ``backends.write_rows``, which gives the bytes ``format_value``
+gives. Rows are formatted and written in blocks of about ``BLOCK_CELLS``
+cells, so the text held in memory stays small however long or wide the
+table is.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import backends
+from ._kernels_py import format_value
 from .errors import ParseError
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -40,20 +41,6 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 # (BLOCK_CELLS // columns); bounds the text held in memory.
 BLOCK_CELLS = 16384
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def format_value(v) -> str:
-    """One cell: integers verbatim, floats at 17 significant digits.
-
-    Integral floats get a trailing '.0' so a column's int/float nature
-    survives the round trip.
-    """
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    s = format(float(v), ".17g")
-    if not any(ch in s for ch in ".eni"):  # no '.', exponent, nan or inf
-        s += ".0"
-    return s
 
 
 def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
@@ -105,21 +92,10 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
     # format_value applies int() or float() to each cell: the casts change no text
     cols = [np.ascontiguousarray(c, dtype=np.int64 if c.dtype.kind in "iu" else np.float64)
             for c in cols]
-    format_rows = backends.format_rows
-    rows = max(1, BLOCK_CELLS // len(cols))
     with open(path, "wb") as fh:
         head = [f"# {k}: {v}\n" for k, v in metadata.items()] + [",".join(header), "\n"]
         fh.write("".join(head).encode("utf-8"))
-        if format_rows is not None:
-            buf = np.empty(rows * len(cols) * format_rows.cell_bytes, dtype=np.uint8)
-            for start in range(0, n, rows):
-                size = format_rows(cols, start, min(n, start + rows), buf)
-                fh.write(buf[:size])
-        else:
-            for start in range(0, n, rows):
-                block = zip(*(c[start:start + rows] for c in cols))
-                text = "".join(",".join(map(format_value, row)) + "\n" for row in block)
-                fh.write(text.encode("utf-8"))
+        backends.write_rows(fh, cols, max(1, BLOCK_CELLS // len(cols)))
 
 
 def read_table(path) -> Tuple[Dict[str, str], List[str], Dict[str, np.ndarray]]:

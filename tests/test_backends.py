@@ -6,6 +6,8 @@ accumulate in different orders (16 compensated lanes vs numpy pairwise), so
 those trajectories agree to float roundoff rather than exactly.
 """
 
+import io
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,7 @@ def test_missing_compiler_falls_back_to_numpy_loudly(monkeypatch):
     monkeypatch.setattr(backends, "_CC", "wealthsim-no-such-compiler")
     with pytest.warns(RuntimeWarning, match="numpy kernel"):
         selected = backends._select()
-    assert selected == ("python", _kernels_py.advance, None)
+    assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows)
 
 
 def test_compile_command_names_the_loaded_build():
@@ -220,28 +222,28 @@ def test_cpu_identity_is_part_of_the_library_name():
 @pytest.mark.skipif(backends.backend_name != "c", reason="C kernel not built")
 def test_unsupported_native_flag_falls_back_to_a_portable_build(monkeypatch):
     monkeypatch.setattr(backends, "_NATIVE", "-march=wealthsim-no-such-cpu")
-    name, advance, format_rows = backends._select()
+    name, advance, write_rows = backends._select()
     assert name == "c"
     assert not any(f.startswith("-march") for f in advance.compile_command)
-    assert format_rows is not None
+    assert write_rows is not _kernels_py.write_rows
     monkeypatch.setattr(backends, "advance", advance)
     a = _advance("python", np.full(N, 600.0))
     b = _advance("c", np.full(N, 600.0))
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.skipif(backends.format_rows is None, reason="C library not built")
-@pytest.mark.parametrize("columns, start, stop, room", [
-    pytest.param([], 0, 0, 0, id="no-columns"),
-    pytest.param([np.zeros(4, dtype=np.float32)], 0, 4, 4, id="float32"),
-    pytest.param([np.zeros(8)[::2]], 0, 4, 4, id="strided"),
-    pytest.param([np.zeros((2, 2))], 0, 2, 4, id="2-d"),
-    pytest.param([np.zeros(4), np.zeros(3, dtype=np.int64)], 0, 4, 8, id="rows-past-a-column"),
-    pytest.param([np.zeros(4)], 3, 2, 4, id="stop-before-start"),
-    pytest.param([np.zeros(4)], 0, 4, 3, id="buffer-too-small"),
+@pytest.mark.skipif(backends.backend_name != "c", reason="C library not built")
+@pytest.mark.parametrize("columns, rows", [
+    pytest.param([], 4, id="no-columns"),
+    pytest.param([np.zeros(4, dtype=np.float32)], 4, id="float32"),
+    pytest.param([np.zeros(8)[::2]], 4, id="strided"),
+    pytest.param([np.zeros((2, 2))], 2, id="2-d"),
+    pytest.param([np.zeros(4), np.zeros(3, dtype=np.int64)], 4, id="rows-past-a-column"),
+    pytest.param([np.zeros(4)], 0, id="no-rows-per-block"),
 ])
-def test_format_rows_refuses_arguments_that_would_overrun(columns, start, stop, room):
-    # room: cells of the longest kind the output buffer holds
-    out = np.empty(room * backends.format_rows.cell_bytes, dtype=np.uint8)
+def test_format_rows_refuses_arguments_that_would_overrun(columns, rows):
+    # write_rows checks a table once, before the C format_rows reads a cell
+    fh = io.BytesIO()
     with pytest.raises(ValueError):
-        backends.format_rows(columns, start, stop, out)
+        backends.write_rows(fh, columns, rows)
+    assert fh.getvalue() == b""

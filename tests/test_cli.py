@@ -449,6 +449,20 @@ def test_non_numeric_histogram_cell_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param("0.0,1.0,0\n1.0,3.0,3\n2.0,2.0,1\n3.0,inf,1\n", id="bin-hi-not-increasing"),
+    pytest.param("0.0,1.0,0\n1.0,2.0,-3\n2.0,inf,1\n", id="negative-count"),
+])
+def test_malformed_histogram_is_a_config_error_naming_its_file(tmp_path, capsys, rows):
+    hist = tmp_path / "h.csv"
+    hist.write_text("bin_lo,bin_hi,count\n" + rows, encoding="utf-8")
+    path = write_cfg(tmp_path, BASE + f"epsilon_sweep = -0.03\ncompare_histogram = {hist}\n")
+    rc = cli.main(["stationary", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert str(hist) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --- analytic ---------------------------------------------------------------
 
 

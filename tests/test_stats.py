@@ -145,6 +145,8 @@ def test_histogram_validation():
         LogHistogram(bin_edges=[3.0, 2.0], counts=[0, 0, 0])
     with pytest.raises(ValueError):
         LogHistogram(bin_edges=[1.0, 2.0], counts=[0, 0])
+    with pytest.raises(ValueError, match="negative"):
+        LogHistogram(bin_edges=[1.0, 2.0], counts=[0, -1, 0])
     with pytest.raises(DegenerateInput):
         log_histogram([], geometric_edges(1.0, 10.0, 3))
 

@@ -1,6 +1,7 @@
 """Lossless CSV round trips."""
 
 import contextlib
+import io
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from wealthsim import backends
+from wealthsim import _kernels_py, backends
 from wealthsim.errors import ParseError
 from wealthsim.tableio import BLOCK_CELLS, format_value, read_table, write_table
 
@@ -170,10 +171,10 @@ def tables(draw):
     return [f"c{j}" for j in range(len(kinds))], columns
 
 
-needs_c = pytest.mark.skipif(backends.format_rows is None,
+needs_c = pytest.mark.skipif(backends.backend_name != "c",
                              reason="compiled library not built")
-# write_table's two paths: the compiled formatter, and format_value cell by
-# cell, which runs when the formatter is missing
+# write_table's two paths: the compiled writer, and format_value cell by
+# cell, which the pure-Python backend supplies
 WRITERS = [pytest.param("c", marks=needs_c), "python"]
 
 
@@ -182,7 +183,7 @@ def writing_through(writer):
     """Make write_table take the given path."""
     with pytest.MonkeyPatch.context() as mp:
         if writer == "python":
-            mp.setattr(backends, "format_rows", None)
+            mp.setattr(backends, "write_rows", _kernels_py.write_rows)
         yield
 
 
@@ -231,11 +232,10 @@ def test_read_table_returns_what_write_table_accepts(tmp_path_factory, writer, t
 
 
 def c_cells(column):
-    """The cells the compiled formatter writes for one int64 or float64 column."""
-    fmt = backends.format_rows
-    out = np.empty(column.size * fmt.cell_bytes, dtype=np.uint8)
-    size = fmt([np.ascontiguousarray(column)], 0, column.size, out)
-    return out[:size].tobytes().decode("ascii").split("\n")[:-1]
+    """The cells the compiled writer writes for one int64 or float64 column."""
+    fh = io.BytesIO()
+    backends.write_rows(fh, [np.ascontiguousarray(column)], BLOCK_CELLS)
+    return fh.getvalue().decode("ascii").split("\n")[:-1]
 
 
 def neighbours(values):
@@ -272,7 +272,7 @@ def test_compiled_formatter_matches_format_value(case):
              if got != format_value(v)]
     assert not wrong[:5]
     assert len(cells) == column.size
-    assert max(map(len, cells)) < backends.format_rows.cell_bytes  # room for ','
+    assert max(map(len, cells)) < backends.write_rows.cell_bytes  # room for ','
 
 
 # str columns are refused on dtype; the str cases below would also not read back
