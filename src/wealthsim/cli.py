@@ -103,6 +103,11 @@ class ExperimentConfig(ModelParams):
         for eps in self.epsilon_sweep:
             if not -1.0 < eps < 1.0:
                 problems.append(f"epsilon_sweep entries must lie in (-1, 1), got {eps}")
+        # each entry names its own export file
+        for key in ("k_list", "epsilon_sweep"):
+            entries = getattr(self, key)
+            if len(set(entries)) != len(entries):
+                problems.append(f"{key} entries must be distinct, got {entries}")
         if problems:
             raise ParameterError(problems)
 
@@ -355,7 +360,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
         if cfg.export_snapshots:
             ex.table(f"snapshots_run{r:02d}.csv", "series",
                      ["rank"] + [f"t{int(t)}" for t in rec.snapshot_times],
-                     [np.arange(1, cfg.n_agents + 1), *rec.sorted_snapshots],
+                     [np.arange(1, cfg.n_agents + 1, dtype=np.int64), *rec.sorted_snapshots],
                      "rank=1-based sorted position, t*=currency", run=str(r))
         if cfg.export_histograms:
             # snapshots descend and subtracting wp rounds monotonically: reversed, they ascend

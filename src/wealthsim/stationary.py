@@ -365,8 +365,6 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
         lam = lam_prev = math.inf
         for it in range(1, max_iter + 1):
             w = shifted_solve(v)
-            if not w.any():
-                raise NotConverged(it, float("nan"))
             lam = SHIFT - (v @ v) / (v @ w)
             w = _signed_unit(w)
             dv = np.abs(w - v).sum()

@@ -75,7 +75,11 @@ class LogHistogram:
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=np.float64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind == "f" and not ((np.abs(counts) < 2.0**63).all()
+                                             and (np.floor(counts) == counts).all()):
+            raise ValueError("counts must be whole numbers in int64's range")
+        self.counts = np.asarray(counts, dtype=np.int64)
         if self.bin_edges.ndim != 1 or self.bin_edges.size < 2:
             raise ValueError("need at least two bin edges")
         if not np.all(np.diff(self.bin_edges) > 0):
@@ -113,7 +117,7 @@ def bin_excess(edges: np.ndarray, ascending: np.ndarray) -> np.ndarray:
         raise ValueError("bin_excess needs ascending rows")
     rows = np.atleast_2d(ascending)
     # below[:, k] values lie under edges[k - 1]; the outer columns close the open bins
-    below = np.empty((rows.shape[0], edges.size + 2), dtype=np.intp)
+    below = np.empty((rows.shape[0], edges.size + 2), dtype=np.int64)
     below[:, 0], below[:, -1] = 0, rows.shape[1]
     for row, row_below in zip(rows, below):
         row_below[1:-1] = np.searchsorted(row, edges, side="left")

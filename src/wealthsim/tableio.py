@@ -14,14 +14,13 @@ serialized with 17 significant digits so that reading a file back reproduces
 the written float64 values bit-for-bit; integer-valued columns are written
 and read as integers (seeds are 64-bit, wider than a float64 mantissa).
 
-``format_value`` is the one definition of a cell. A column holds integers
-(uint64 only below 2**63) or floats of up to 64 bits; ``write_table``
-refuses every other dtype, str included. It casts the columns to int64 and
-float64, which changes no cell's text, and writes them through the
-backend's ``backends.write_rows``, which gives the bytes ``format_value``
-gives. Rows are formatted and written in blocks of about ``BLOCK_CELLS``
-cells, so the text held in memory stays small however long or wide the
-table is.
+``format_value`` is the one definition of a cell. A column is int64 or
+float64 in native byte order, the two dtypes ``read_table`` returns;
+``write_table`` refuses every other dtype, str included, and writes the
+columns through the backend's ``backends.write_rows``, which gives the
+bytes ``format_value`` gives. Rows are formatted and written in blocks of
+about ``BLOCK_CELLS`` cells, so the text held in memory stays small however
+long or wide the table is.
 """
 
 from __future__ import annotations
@@ -40,16 +39,14 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 # Cells formatted and written at a time, in blocks of whole rows
 # (BLOCK_CELLS // columns); bounds the text held in memory.
 BLOCK_CELLS = 16384
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
                     metadata: Dict[str, str]) -> None:
-    """Refuse a column that holds neither integers nor floats of up to 64
-    bits, and what read_table could not return intact: it splits lines at
+    """Refuse what read_table could not return intact: it splits lines at
     commas, strips header names and metadata, ends a metadata key at the
     first ':', keys columns by name, skips blank lines and lines starting
-    with '#', and reads every column as int64 or float64."""
+    with '#', and returns every column as native int64 or float64."""
     line = ",".join(header)
     if not line.strip() or line.startswith("#"):
         raise ValueError(f"header {header!r} would read as a blank or comment line")
@@ -66,32 +63,29 @@ def _check_writable(header: Sequence[str], cols: Sequence[np.ndarray],
             raise ValueError(f"metadata entry {key!r}: {value!r} contains a newline, "
                              "a ':' in the key or surrounding whitespace")
     for name, c in zip(header, cols):
-        if not (c.dtype.kind in "iu" or c.dtype.kind == "f" and c.dtype.itemsize <= 8):
-            raise ValueError(f"column {name!r} has dtype {c.dtype}; a column must hold "
-                             "integers or floats of up to 64 bits")
-        if c.dtype.kind == "u" and c.size and c.max() > _INT64_MAX:
-            raise ValueError(f"column {name!r} holds an integer above int64's range")
+        if c.dtype not in (np.int64, np.float64):
+            raise ValueError(f"column {name!r} has dtype {c.dtype}; a column must be "
+                             "int64 or float64 in native byte order")
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
                 metadata: Dict[str, str]) -> None:
-    """Write a metadata-headed CSV with '\\n' newlines. Columns must be equal
-    length and hold integers or floats of up to 64 bits.
+    """Write a metadata-headed CSV with '\\n' newlines. Columns must be 1-d,
+    equally long, and int64 or float64 in native byte order: the columns
+    read_table returns.
 
-    Raises ValueError, before the file is opened, for any other dtype and
-    for a table that would not read back (see ``_check_writable``).
+    Raises ValueError, before the file is opened, for any other shape or
+    dtype and for a table that would not read back (see ``_check_writable``).
     """
     if len(header) != len(columns):
         raise ValueError("one header name per column required")
     cols = [np.asarray(c) for c in columns]
-    n = cols[0].shape[0] if cols else 0
+    n = len(cols[0]) if cols and cols[0].ndim else 0
     for c in cols:
         if c.shape != (n,):
             raise ValueError("all columns must be 1-d and equally long")
     _check_writable(header, cols, metadata)
-    # format_value applies int() or float() to each cell: the casts change no text
-    cols = [np.ascontiguousarray(c, dtype=np.int64 if c.dtype.kind in "iu" else np.float64)
-            for c in cols]
+    cols = [np.ascontiguousarray(c) for c in cols]  # after the shape check: 0-d -> (1,)
     with open(path, "wb") as fh:
         head = [f"# {k}: {v}\n" for k, v in metadata.items()] + [",".join(header), "\n"]
         fh.write("".join(head).encode("utf-8"))

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import wealthsim
-from wealthsim import analytics, cli, engine, stats
-from wealthsim.errors import ParameterError, ParseError
+from wealthsim import analytics, cli, engine, stationary, stats
+from wealthsim.errors import NotConverged, ParameterError, ParseError
 from wealthsim.params import Mode, ModelParams
 from wealthsim.tableio import read_table
 
@@ -136,12 +136,21 @@ def test_inverted_window_rejected():
         ("hist_bins_per_decade = 0\n", "hist_bins_per_decade"),
         ("k_list = 0.5, -1\n", "k_list"),
         ("epsilon_sweep = -0.5, 1.5\n", "epsilon_sweep"),
+        # each entry names its own file: a repeat would be written twice
+        ("k_list = 1.0, 1\n", "line 12: k_list entries must be distinct"),
+        ("epsilon_sweep = -0.03, -0.03\n", "line 12: epsilon_sweep entries must be distinct"),
     ],
 )
 def test_config_validation_failures(extra, needle):
+    # the key replaces BASE's own line, if it has one, so that the value's
+    # check runs rather than the duplicate-key one
+    key = extra.partition("=")[0].strip()
+    text = "".join(line for line in BASE.splitlines(keepends=True)
+                   if line.partition("=")[0].strip() != key)
     with pytest.raises(ParseError) as ei:
-        cli.parse_config(BASE + extra)
+        cli.parse_config(text + extra)
     assert any(needle in m for m in ei.value.problems)
+    assert not any("duplicate key" in m for m in ei.value.problems)
 
 
 @pytest.mark.parametrize("tail, line", [
@@ -300,6 +309,22 @@ def test_seed_override_outside_64_bits_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_repeated_k_exits_2_and_writes_nothing(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE + "k_list = 1.0, 1\n")
+    rc = cli.main(["analytic", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "k_list entries must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_io_error_during_a_command_exits_4(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE + "k_list = 1\n")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    rc = cli.main(["analytic", "--config", path, "--out", str(tmp_path / "file" / "o")])
+    assert rc == 4
+    assert "I/O error" in capsys.readouterr().err
+
+
 def test_analytic_domain_error_exits_3(tmp_path, capsys):
     # default k_list reaches k values > 2*n_agents: outside the envelope domain
     path = write_cfg(tmp_path, BASE)
@@ -419,6 +444,17 @@ def test_runs_override_changes_file_count(tmp_path):
 # --- correlate --------------------------------------------------------------
 
 
+def test_fewer_than_two_stride_ticks_export_no_flux(tmp_path, capsys):
+    # t_max below series_stride: the only stride tick is t = 0
+    path = write_cfg(tmp_path, BASE.replace("t_max = 400", "t_max = 40"))
+    out = tmp_path / "co"
+    assert cli.main(["correlate", "--config", path, "--out", str(out)]) == 0
+    assert "run 0: fewer than two stride ticks, no flux matrix" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["divide_report.csv", "manifest.json"]
+    _, _, cols = read_table(out / "divide_report.csv")
+    assert np.isnan(cols["divide_rank"]).all() and np.isnan(cols["neg_frac_rank1"]).all()
+
+
 def test_correlate_exports_flux_and_divide_report(tmp_path):
     path = write_cfg(tmp_path, BASE)
     out = tmp_path / "corr"
@@ -452,6 +488,9 @@ def test_non_numeric_histogram_cell_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("rows", [
     pytest.param("0.0,1.0,0\n1.0,3.0,3\n2.0,2.0,1\n3.0,inf,1\n", id="bin-hi-not-increasing"),
     pytest.param("0.0,1.0,0\n1.0,2.0,-3\n2.0,inf,1\n", id="negative-count"),
+    pytest.param("0.0,1.0,0\n2.0,2.0,3\n1.0,inf,1\n", id="bin-lo-not-increasing"),
+    # a count of 1.5 is not truncated to 1
+    pytest.param("0.0,1.0,0\n1.0,2.0,1.5\n2.0,inf,1\n", id="fractional-count"),
 ])
 def test_malformed_histogram_is_a_config_error_naming_its_file(tmp_path, capsys, rows):
     hist = tmp_path / "h.csv"
@@ -517,6 +556,18 @@ def test_stationary_sweep_with_two_modes(tmp_path):
     assert cols["boundary_piled"][0] == 0.0
     assert np.isnan(cols["residual"][1])  # diagnostics are leading-mode only
     assert np.isnan(cols["tv"][0])  # no comparison histogram supplied
+
+
+def test_stationary_not_converged_exits_3_naming_epsilon(tmp_path, capsys, monkeypatch):
+    def not_converged(op, n_modes):
+        raise NotConverged(5, 1e-3)
+    monkeypatch.setattr(stationary, "leading_eigenpair", not_converged)
+    path = write_cfg(tmp_path, BASE + "epsilon_sweep = -0.03\ngrid_points = 2400\n")
+    rc = cli.main(["stationary", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "epsilon=-0.029999999999999999" in err and "NotConverged" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_stationary_compare_histogram(tmp_path, sim_dir):

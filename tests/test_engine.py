@@ -160,6 +160,13 @@ def test_default_schedule_small_horizon():
     assert default_schedule(0).snapshot_times == (0,)
 
 
+def test_default_schedule_thins_an_overfull_request():
+    # rounding leaves 7 distinct days of 8 requested, the retry finds more
+    # than 8, and evenly spaced picks keep exactly 8 with both ends
+    sched = default_schedule(11, n_snapshots=8)
+    assert sched.snapshot_times == (1, 2, 3, 4, 6, 7, 9, 11)
+
+
 def test_custom_rank_ids_are_honored():
     params = small_params(n_runs=1)
     sched = default_schedule(300, n_snapshots=6, rank_ids=(1, 2, 5))

@@ -1,5 +1,7 @@
 """Gini, log-histograms, flux matrix, water divide."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -143,10 +145,19 @@ def test_unsorted_excess_is_refused(x):
 def test_histogram_validation():
     with pytest.raises(ValueError):
         LogHistogram(bin_edges=[3.0, 2.0], counts=[0, 0, 0])
+    with pytest.raises(ValueError, match="two bin edges"):
+        LogHistogram(bin_edges=[1.0], counts=[0, 0])
     with pytest.raises(ValueError):
         LogHistogram(bin_edges=[1.0, 2.0], counts=[0, 0])
     with pytest.raises(ValueError, match="negative"):
         LogHistogram(bin_edges=[1.0, 2.0], counts=[0, -1, 0])
+    # a float count must be a whole number: it is not truncated
+    for counts in ([0.9, 2.0, 3.7], [0.0, math.inf, 1.0], [0.0, math.nan, 1.0],
+                   [0.0, 1e30, 1.0]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            LogHistogram(bin_edges=[1.0, 2.0], counts=counts)
+    whole = LogHistogram(bin_edges=[1.0, 2.0], counts=[0.0, 2.0, 3.0])
+    assert whole.counts.dtype == np.int64 and whole.counts.tolist() == [0, 2, 3]
     with pytest.raises(DegenerateInput):
         log_histogram([], geometric_edges(1.0, 10.0, 3))
 

@@ -151,10 +151,7 @@ SPECIAL_FLOATS = [-0.0, 0.0, 1000.0, -1e16, 99999999999999984.0, 1e17, -1e17,
 CELLS = {
     "int64": hyp.one_of(hyp.sampled_from([INT64.min, INT64.max, 0, -1]),
                         hyp.integers(INT64.min, INT64.max)),
-    # write_table refuses uint64 values above int64's range
-    "uint64": hyp.one_of(hyp.sampled_from([2**63 - 1]), hyp.integers(0, 2**63 - 1)),
     "float64": hyp.one_of(hyp.sampled_from(SPECIAL_FLOATS), hyp.floats(width=64)),
-    "float32": hyp.floats(width=32),
 }
 
 
@@ -223,12 +220,11 @@ def test_read_table_returns_what_write_table_accepts(tmp_path_factory, writer, t
         assert back.size == c.size
         if c.size == 0:  # no cell to type the column by
             continue
-        if c.dtype.kind in "iu":
-            assert back.dtype == np.int64
-            assert np.array_equal(back, c.astype(np.int64))
-        else:  # float32 widens
-            assert back.dtype == np.float64
-            assert same_floats(back, c.astype(np.float64))
+        assert back.dtype == c.dtype
+        if c.dtype == np.int64:
+            assert np.array_equal(back, c)
+        else:
+            assert same_floats(back, c)
 
 
 def c_cells(column):
@@ -318,7 +314,15 @@ def test_compiled_formatter_matches_format_value(case):
     pytest.param(["x"], [np.array([2**64, 1], dtype=object)], {}, id="object-int-above-int64"),
     # read back as float64 [1.0, 2.5]
     pytest.param(["x"], [np.array([1, 2.5], dtype=object)], {}, id="object-int-and-float"),
-    # a column holds integers or floats of up to 64 bits, and nothing else
+    # a column is int64 or float64 in native byte order, the dtypes read_table
+    # returns, with no cast, and nothing else; a 0-d array is not a column,
+    # even as the first
+    pytest.param(["x"], [np.array([1, 2**63 - 1], dtype=np.uint64)], {},
+                 id="uint64-in-int64-range"),
+    pytest.param(["x"], [np.arange(2, dtype=np.int32)], {}, id="int32-column"),
+    pytest.param(["x"], [np.array([0.5, 1.5], dtype=np.float32)], {}, id="float32-column"),
+    pytest.param(["x"], [np.array([0.5, 1.5], dtype=">f8")], {}, id="big-endian-float64"),
+    pytest.param(["x", "y"], [np.array(1.0), np.array([1.0])], {}, id="0-d-first-column"),
     pytest.param(["x"], [np.array([True, False])], {}, id="bool-column"),
     pytest.param(["name"], [np.array(["a", "b"])], {}, id="str-column"),
     pytest.param(["name"], [np.array(["a", "b"], dtype=object)], {}, id="object-str-column"),
