@@ -1,4 +1,4 @@
-/* Compiled day loop and CSV row formatter.
+/* Compiled day loop, CSV row formatter and banded LU.
  *
  * advance is the same update as _kernels_py.advance, in C: it advances
  * through a block of stop days and stores the vector at each, for the
@@ -25,6 +25,11 @@
  * of float printers such as Adams, "Ryu: fast float-to-string conversion",
  * PLDI 2018): unsigned __int128 covers 2^-19 <= |v| < 1e16, and 64-bit
  * limbs cover the rest. No printf: its decimal point follows LC_NUMERIC.
+ *
+ * band_lu and band_solve factor and solve an m x m band matrix with p
+ * sub- and q super-diagonals (Golub & Van Loan, Matrix Computations,
+ * sec. 4.3), for stationary.leading_eigenpair's shifted matrix. It is
+ * strictly column diagonally dominant, so elimination needs no pivoting.
  */
 #include <stdint.h>
 #include <string.h>
@@ -367,4 +372,56 @@ int64_t format_rows(const void *const *columns, const char *is_float,
         p[-1] = '\n';
     }
     return p - out;
+}
+
+
+/* ---- Banded LU ---- */
+
+/* The band is stored row-major, p + q + 1 entries a row: entry (i, j) of the
+ * matrix, for i - p <= j <= i + q, is ab[i * (p + q + 1) + j - i + p], that
+ * is row(ab, i, p, q)[j]. */
+static inline double *row(double *ab, int64_t i, int64_t p, int64_t q)
+{
+    return ab + i * (p + q) + p;
+}
+
+/* Factor the band in place as L U, L unit lower with p sub-diagonals stored
+ * below the diagonal, U upper with q super-diagonals stored on and above it.
+ * No pivoting: each pivot must be nonzero, which strict column diagonal
+ * dominance guarantees (it is then its column's largest entry). Without
+ * pivoting neither factor fills in outside the band. */
+void band_lu(double *ab, int64_t m, int64_t p, int64_t q)
+{
+    for (int64_t k = 0; k < m; k++) {
+        const double *pivot_row = row(ab, k, p, q);
+        int64_t last_row = k + p < m ? k + p : m - 1;
+        int64_t last_col = k + q < m ? k + q : m - 1;
+        for (int64_t i = k + 1; i <= last_row; i++) {
+            double *r = row(ab, i, p, q);
+            double l = r[k] /= pivot_row[k];
+            for (int64_t j = k + 1; j <= last_col; j++)
+                r[j] -= l * pivot_row[j];
+        }
+    }
+}
+
+/* Overwrite x[0..m) with the solution of L U x = x for the factors that
+ * band_lu left in ab. Each row's sum takes the newest unknown last, so the
+ * next row's other terms need not wait for it. */
+void band_solve(double *ab, int64_t m, int64_t p, int64_t q, double *x)
+{
+    for (int64_t i = 1; i < m; i++) {
+        const double *r = row(ab, i, p, q);
+        double t = x[i];
+        for (int64_t j = i > p ? i - p : 0; j < i; j++)
+            t -= r[j] * x[j];
+        x[i] = t;
+    }
+    for (int64_t i = m - 1; i >= 0; i--) {
+        const double *r = row(ab, i, p, q);
+        double t = x[i];
+        for (int64_t j = i + q < m ? i + q : m - 1; j > i; j--)
+            t -= r[j] * x[j];
+        x[i] = t / r[i];
+    }
 }

@@ -1,4 +1,5 @@
-"""Pure-Python backend: the numpy kernel and the cell-by-cell CSV writer.
+"""Pure-Python backend: the numpy kernel, the cell-by-cell CSV writer and
+the block cyclic reduction band solver.
 
 ``advance`` is semantically identical to the compiled kernel in
 ``_kernel.c`` — both consume the same counter-based random stream and apply
@@ -6,10 +7,14 @@ the same per-element operations in the same order, so they agree
 bit-for-bit on the draws and in free mode. The coupled modes agree to float
 roundoff: numpy sums the renormalizing total pairwise, the C kernel in 16
 compensated lanes. ``write_rows`` writes each cell as ``format_value``
-defines it, the bytes the compiled writer gives too.
+defines it, the bytes the compiled writer gives too. ``band_solver`` solves
+the band systems that the compiled ``band_lu`` and ``band_solve`` do, to
+roundoff.
 """
 
 from __future__ import annotations
+
+from typing import List, Tuple
 
 import numpy as np
 
@@ -100,3 +105,105 @@ def advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled,
         if out is not None:
             out[i] = excess
         start = stop
+
+
+def _tridiagonal_blocks(ab: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The m x m band matrix M held in ``ab`` (M[i, j] at ``ab[i, j - i + p]``)
+    as (3, nb, b, b) stacks of sub-diagonal, diagonal and super-diagonal
+    blocks L_i, D_i, U_i.
+
+    With block size b = max(p, q) every band entry lies in one of these
+    three b x b blocks of its block row, so M is exactly block-tridiagonal
+    (the last block is padded with 1 on the diagonal).
+    """
+    m = ab.shape[0]
+    b = max(p, q)
+    nb = -(-m // b)
+    blocks = np.zeros((3, nb, b, b))
+    r = np.arange(b)  # row within a block
+    for c in range(p + q + 1):
+        # row r of block row I meets column j = i + d of the band's column c
+        # in block column I + (r + d) // b, at position (r + d) % b
+        d = c - p
+        lo, hi = max(-d, 0), m - max(d, 0)
+        band = np.zeros(nb * b)
+        if lo < hi:  # else the diagonal lies outside a grid narrower than the band
+            band[lo:hi] = ab[lo:hi, c]
+        blocks[1 + (r + d) // b, :, r, (r + d) % b] = band.reshape(nb, b).T
+    pad = np.arange(m - (nb - 1) * b, b)  # the last block's rows past m
+    blocks[1, -1, pad, pad] = 1.0
+    return blocks
+
+
+def _block_factor(blocks: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
+    """Block cyclic reduction of the block-tridiagonal matrix ``blocks``
+    (from ``_tridiagonal_blocks``), in place.
+
+    Block rows L_i x_(i-1) + D_i x_i + U_i x_(i+1) = r_i. Each level
+    eliminates the odd block rows from the even ones, with alpha_i = L_i
+    inv(D_(i-1)) and gamma_i = U_i inv(D_(i+1)) for even i, leaving a
+    block-tridiagonal system of half the size (Heller, SIAM J. Numer. Anal.
+    13 (1976); Golub & Van Loan, *Matrix Computations*, sec. 4.5): about
+    log2(m/b) levels, each a few numpy calls stacked over the level's blocks.
+    For a strictly column diagonally dominant matrix each level's Schur
+    complement of the odd block rows and columns stays so, with margins no
+    smaller, so every D block inverted is nonsingular. Returns one
+    (inv(D_odd), L_odd, U_odd, alpha, gamma) tuple per level and, last, the
+    inverse of the single block left.
+    """
+    lower, diag, upper = blocks
+    levels: List[Tuple[np.ndarray, ...]] = []
+    while len(diag) > 1:
+        # in place: a level writes only its even rows, so the odd rows kept
+        # in ``levels`` (views of the blocks) are never overwritten
+        inv, lower_odd, upper_odd = diag[1::2], lower[1::2], upper[1::2]
+        inv[...] = np.linalg.inv(inv)
+        n_odd, n_even = len(inv), len(diag) - len(inv)
+        alpha = lower[2::2] @ inv[: n_even - 1]
+        gamma = upper[: 2 * n_odd: 2] @ inv
+        levels.append((inv, lower_odd, upper_odd, alpha, gamma))
+        diag, lower, upper = diag[::2], lower[::2], upper[::2]
+        diag[1:] -= alpha @ upper_odd[: n_even - 1]
+        diag[:n_odd] -= gamma @ lower_odd
+        lower[1:] = -(alpha @ lower_odd[: n_even - 1])
+        upper[:n_odd] = -(gamma @ upper_odd)
+    levels.append((np.linalg.inv(diag),))
+    return levels
+
+
+def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked block products a[k] @ x[k]."""
+    return np.einsum("kij,kj->ki", a, x)
+
+
+def _block_solve(levels: List[Tuple[np.ndarray, ...]], r: np.ndarray) -> np.ndarray:
+    """Solve M x = r with the reduction from ``_block_factor``."""
+    *steps, (last,) = levels
+    b = last.shape[-1]
+    y = np.concatenate([r, np.zeros(-r.size % b)]).reshape(-1, b)
+    odd_rhs = []
+    for _, _, _, alpha, gamma in steps:
+        odd = y[1::2]
+        y = y[::2].copy()
+        y[1:] -= _matvecs(alpha, odd[: len(alpha)])
+        y[: len(gamma)] -= _matvecs(gamma, odd)
+        odd_rhs.append(odd)
+    x = _matvecs(last, y)
+    for (inv, lower_odd, upper_odd, _, _), odd in zip(steps[::-1], odd_rhs[::-1]):
+        t = odd - _matvecs(lower_odd, x[: len(odd)])
+        t[: len(x) - 1] -= _matvecs(upper_odd[: len(x) - 1], x[1:])
+        full = np.empty((len(x) + len(odd), b))
+        full[::2] = x
+        full[1::2] = _matvecs(inv, t)
+        x = full
+    return x.ravel()[: r.size]
+
+
+def band_solver(ab, p, q):
+    """``solve(r)`` for the m x m matrix M whose band ``ab``, of shape
+    (m, p + q + 1), holds M[i, j] at ``ab[i, j - i + p]``: M is factored
+    once, by block cyclic reduction with block size max(p, q), and each
+    solve returns the x with M x = r. M must be strictly column diagonally
+    dominant, or some block may be singular."""
+    levels = _block_factor(_tridiagonal_blocks(ab, p, q))
+    return lambda r: _block_solve(levels, r)

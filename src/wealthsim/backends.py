@@ -14,7 +14,10 @@ cause and the numpy kernel of ``_kernels_py`` runs instead
 
 Either backend also writes CSV rows: ``write_rows`` writes int64 and float64
 columns as the text ``_kernels_py.format_value`` defines, through the same
-library's ``format_rows`` or, under the numpy kernel, cell by cell.
+library's ``format_rows`` or, under the numpy kernel, cell by cell. And
+either solves band systems: ``band_solver(ab, p, q)`` factors a band matrix
+once and returns ``solve(r)``, through the library's ``band_lu`` and
+``band_solve`` or, under the numpy kernel, by block cyclic reduction.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ _FORMAT_ARGTYPES = (
     np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS, WRITEABLE"),
 )
 _FORMAT_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
+_BAND_ARGTYPES = (
+    np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS, WRITEABLE"),
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,      # m, p, q
+)
 
 
 def _cpu_identity() -> str:
@@ -99,9 +106,10 @@ def _build(cmd) -> str:
 
 
 def _load(cmd):
-    """The library that ``cmd`` compiles, as (advance, write_rows): an
-    ``advance`` with the numpy kernel's signature and a ``compile_command``
-    attribute, and a ``write_rows`` with ``_kernels_py.write_rows``'s."""
+    """The library that ``cmd`` compiles, as (advance, write_rows,
+    band_solver): an ``advance`` with the numpy kernel's signature and a
+    ``compile_command`` attribute, and a ``write_rows`` and a ``band_solver``
+    with those of ``_kernels_py``."""
     lib = ctypes.CDLL(_build(cmd))
     fn = lib.advance
     fn.argtypes = _ARGTYPES
@@ -124,7 +132,7 @@ def _load(cmd):
             raise NormalizationDegenerate(bad_total.value, degen, run_id=run, t=bad_t)
 
     advance.compile_command = tuple(cmd)
-    return advance, _writer(lib)
+    return advance, _writer(lib), _band_solver(lib)
 
 
 def _writer(lib):
@@ -155,9 +163,48 @@ def _writer(lib):
     return write_rows
 
 
+def _band_solver(lib):
+    """``band_solver`` through the loaded library's ``band_lu`` and ``band_solve``."""
+    factor, substitute = lib.band_lu, lib.band_solve
+    factor.argtypes = _BAND_ARGTYPES
+    factor.restype = None
+    substitute.argtypes = (*_BAND_ARGTYPES,
+                           np.ctypeslib.ndpointer(np.float64, ndim=1,
+                                                  flags="C_CONTIGUOUS, WRITEABLE"))
+    substitute.restype = None
+
+    def band_solver(ab, p, q):
+        """``solve(r)`` for the m x m matrix M whose band ``ab``, a C-contiguous
+        float64 array of shape (m, p + q + 1), holds M[i, j] at
+        ``ab[i, j - i + p]``, as ``_kernels_py.band_solver`` does. ``ab`` is
+        factored once, in a copy, without pivoting: M must be strictly
+        column diagonally dominant."""
+        if p < 0 or q < 0 or not (
+                isinstance(ab, np.ndarray) and ab.dtype == np.float64 and ab.ndim == 2
+                and ab.shape[1] == p + q + 1 and ab.flags.c_contiguous):
+            raise ValueError("band_solver needs p, q >= 0 and a C-contiguous "
+                             "float64 band of shape (m, p + q + 1)")
+        lu = ab.copy()
+        m = lu.shape[0]
+        factor(lu, m, p, q)
+
+        def solve(r):
+            """The x with M x = r, for a length-m vector r."""
+            x = np.array(r, dtype=np.float64)
+            if x.shape != (m,):
+                raise ValueError(f"right-hand side of shape {x.shape}, not ({m},)")
+            substitute(lu, m, p, q, x)
+            return x
+
+        return solve
+
+    return band_solver
+
+
 def _select():
-    """(name, advance, write_rows) of the C library, built for the host CPU
-    or else portably, or of the pure-Python backend if neither build loads."""
+    """(name, advance, write_rows, band_solver) of the C library, built for
+    the host CPU or else portably, or of the pure-Python backend if neither
+    build loads."""
     for cmd in ([_CC, _NATIVE, *_CFLAGS], [_CC, *_CFLAGS]):
         try:
             return ("c", *_load(cmd))
@@ -166,13 +213,18 @@ def _select():
     cause = getattr(failure, "stderr", None) or failure
     warnings.warn(f"C kernel unavailable, using the numpy kernel: {cause}",
                   RuntimeWarning, stacklevel=2)
-    return "python", _kernels_py.advance, _kernels_py.write_rows
+    return "python", _kernels_py.advance, _kernels_py.write_rows, _kernels_py.band_solver
 
 
-backend_name, advance, write_rows = _select()
+backend_name, advance, write_rows, band_solver = _select()
 compile_command = getattr(advance, "compile_command", None)
 
 
 def available():
     """Name -> advance-callable for every backend that loads here."""
     return {"python": _kernels_py.advance, backend_name: advance}
+
+
+def band_solvers():
+    """Name -> band_solver for every backend that loads here."""
+    return {"python": _kernels_py.band_solver, backend_name: band_solver}

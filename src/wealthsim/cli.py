@@ -326,7 +326,11 @@ def read_histogram(path: str) -> stats.LogHistogram:
     edges = hi[:-1]
     window = None
     if "window_start" in cols and "window_end" in cols and len(cols["window_start"]):
-        window = (int(cols["window_start"][0]), int(cols["window_end"][0]))
+        bounds = [cols[name][0] for name in ("window_start", "window_end")]
+        if not all(np.isfinite(v) and v == math.floor(v) for v in bounds):
+            raise ParseError([f"{path}: window cells must be whole days, got "
+                              f"{', '.join(map(tableio.format_value, bounds))}"])
+        window = (int(bounds[0]), int(bounds[1]))
     try:
         return stats.LogHistogram(bin_edges=edges, counts=cols["count"], window=window)
     except ValueError as exc:

@@ -44,6 +44,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import backends
 from .errors import GridTooCoarse, NoOverlap, NotConverged
 from .params import ModelParams
 from .stats import LogHistogram
@@ -212,89 +213,20 @@ def build_operator(grid: LogGrid, beta: float, epsilon: float,
                         offsets=all_offsets, weights=weights, shifts=shifts)
 
 
-def _tridiagonal_blocks(op: BandOperator) -> np.ndarray:
-    """``SHIFT*I - A`` for the band matrix A of ``op`` as (3, nb, b, b) stacks
-    of sub-diagonal, diagonal and super-diagonal blocks L_i, D_i, U_i.
-
-    With block size b = max |offset| every band entry lies in one of these
-    three b x b blocks of its block row, so the shifted matrix is exactly
-    block-tridiagonal (the last block is padded with SHIFT on the diagonal).
-    """
+def _shifted_band(op: BandOperator) -> Tuple[np.ndarray, int, int]:
+    """``SHIFT*I - A`` for the band matrix A of ``op`` as (ab, p, q): p sub-
+    and q super-diagonals, with entry (i, j) at ``ab[i, j - i + p]``, the
+    storage ``backends.band_solver`` takes."""
     m = op.grid.m
-    b = int(np.abs(op.offsets).max())
-    nb = -(-m // b)
-    blocks = np.zeros((3, nb, b, b))
-    p = np.arange(b)  # row within a block
+    p, q = max(int(op.offsets.max()), 0), max(-int(op.offsets.min()), 0)
+    ab = np.zeros((m, p + q + 1))
     for k, off in enumerate(op.offsets):
-        # band[d] = -A[d, d - off]; row p of block row I meets column d - off
-        # in block column I + (p - off) // b, at position (p - off) % b
+        # A[d, d - off] = weights[d - off, k] sits at ab[d, p - off]
         lo, hi = max(off, 0), m + min(off, 0)
-        band = np.zeros(nb * b)
         if lo < hi:  # else the tap reaches past a grid narrower than the band
-            band[lo:hi] = -op.weights[lo - off: hi - off, k]
-        blocks[1 + (p - off) // b, :, p, (p - off) % b] = band.reshape(nb, b).T
-    blocks[1, :, p, p] += SHIFT
-    return blocks
-
-
-def _block_factor(op: BandOperator) -> List[Tuple[np.ndarray, ...]]:
-    """Block cyclic reduction of ``SHIFT*I - A`` for the band matrix A of ``op``.
-
-    Block rows L_i x_(i-1) + D_i x_i + U_i x_(i+1) = r_i come from
-    ``_tridiagonal_blocks``. Each level eliminates the odd block rows from
-    the even ones, with alpha_i = L_i inv(D_(i-1)) and gamma_i =
-    U_i inv(D_(i+1)) for even i, leaving a block-tridiagonal system of half
-    the size (Heller, SIAM J. Numer. Anal. 13 (1976); Golub & Van Loan,
-    *Matrix Computations*, sec. 4.5). Returns one (inv(D_odd), L_odd, U_odd,
-    alpha, gamma) tuple per level and, last, the inverse of the single block
-    left.
-    """
-    lower, diag, upper = _tridiagonal_blocks(op)
-    levels: List[Tuple[np.ndarray, ...]] = []
-    while len(diag) > 1:
-        # in place: a level writes only its even rows, so the odd rows kept
-        # in ``levels`` (views of the blocks) are never overwritten
-        inv, lower_odd, upper_odd = diag[1::2], lower[1::2], upper[1::2]
-        inv[...] = np.linalg.inv(inv)
-        n_odd, n_even = len(inv), len(diag) - len(inv)
-        alpha = lower[2::2] @ inv[: n_even - 1]
-        gamma = upper[: 2 * n_odd: 2] @ inv
-        levels.append((inv, lower_odd, upper_odd, alpha, gamma))
-        diag, lower, upper = diag[::2], lower[::2], upper[::2]
-        diag[1:] -= alpha @ upper_odd[: n_even - 1]
-        diag[:n_odd] -= gamma @ lower_odd
-        lower[1:] = -(alpha @ lower_odd[: n_even - 1])
-        upper[:n_odd] = -(gamma @ upper_odd)
-    levels.append((np.linalg.inv(diag),))
-    return levels
-
-
-def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked block products a[k] @ x[k]."""
-    return np.einsum("kij,kj->ki", a, x)
-
-
-def _block_solve(levels: List[Tuple[np.ndarray, ...]], r: np.ndarray) -> np.ndarray:
-    """Solve ``(SHIFT*I - A) x = r`` with the reduction from ``_block_factor``."""
-    *steps, (last,) = levels
-    b = last.shape[-1]
-    y = np.concatenate([r, np.zeros(-r.size % b)]).reshape(-1, b)
-    odd_rhs = []
-    for _, _, _, alpha, gamma in steps:
-        odd = y[1::2]
-        y = y[::2].copy()
-        y[1:] -= _matvecs(alpha, odd[: len(alpha)])
-        y[: len(gamma)] -= _matvecs(gamma, odd)
-        odd_rhs.append(odd)
-    x = _matvecs(last, y)
-    for (inv, lower_odd, upper_odd, _, _), odd in zip(steps[::-1], odd_rhs[::-1]):
-        t = odd - _matvecs(lower_odd, x[: len(odd)])
-        t[: len(x) - 1] -= _matvecs(upper_odd[: len(x) - 1], x[1:])
-        full = np.empty((len(x) + len(odd), b))
-        full[::2] = x
-        full[1::2] = _matvecs(inv, t)
-        x = full
-    return x.ravel()[: r.size]
+            ab[lo:hi, p - off] = -op.weights[lo - off: hi - off, k]
+    ab[:, p] += SHIFT
+    return ab, p, q
 
 
 def _signed_unit(x: np.ndarray) -> np.ndarray:
@@ -311,17 +243,18 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     Computations*, sec. 7.6), which converges to the eigenvalue nearest
     SHIFT = 1 + 1e-6 at the rate |SHIFT - lam_1| / |SHIFT - lam_2| per step.
     For the first mode that is the real leading one, as no eigenvalue has
-    modulus above 1 (the largest column sum). The shifted matrix is
-    block-tridiagonal with block size b = max |offset| taken from the band,
-    and is factored once by block cyclic reduction (``_block_factor``): about
-    log2(m/b) levels, each a few numpy calls stacked over the level's blocks.
-    No pivoting is needed: A >= 0 and its columns sum to at most 1
-    (``source_sums``), so for SHIFT > 1 the shifted matrix is strictly column
-    diagonally dominant, by at least SHIFT - 1 in every column. Each level
-    takes the Schur complement of the odd block rows and columns, which keeps
-    strict column diagonal dominance with margins no smaller; so every D
-    block inverted is nonsingular, with 1-norm inverse at most 1/(SHIFT - 1).
-    The eigenvalue is read from the same solve: as w approaches
+    modulus above 1 (the largest column sum). The shifted matrix is a band,
+    p = max offset wide below the diagonal and q = -min offset above it
+    (``_shifted_band``), factored once by ``backends.band_solver``: banded LU
+    in the compiled library (Golub & Van Loan, sec. 4.3), O(m p q) work, or
+    block cyclic reduction under the numpy kernel. No pivoting is needed:
+    A >= 0 and its columns sum to at most 1 (``source_sums``), so for
+    SHIFT > 1 the shifted matrix is strictly column diagonally dominant, by
+    at least SHIFT - 1 in every column. A Schur complement of a strictly
+    column diagonally dominant matrix stays so with margins no smaller, so
+    each pivot of the elimination is nonzero and the largest entry of its
+    column, the one partial pivoting would pick (growth factor <= 2). The
+    eigenvalue is read from the same solve: as w approaches
     v / (SHIFT - lam), lam = SHIFT - (v . v) / (v . w).
 
     Modes past the first come from Wielandt deflation (Saad, *Numerical
@@ -342,7 +275,7 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     last iterate's ``op.residual``) if an iteration hits ``max_iter``.
     """
     m = op.grid.m
-    blocks = _block_factor(op)
+    band_solve = backends.band_solver(*_shifted_band(op))
     found_vals: List[float] = []
     found_modes: List[np.ndarray] = []
     iterations: List[int] = []
@@ -350,7 +283,7 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     deflations: List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def shifted_solve(r: np.ndarray) -> np.ndarray:
-        x = _block_solve(blocks, r)
+        x = band_solve(r)
         for _, _, u, z in deflations:
             x -= z * (u @ x)
         return x

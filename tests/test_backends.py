@@ -7,6 +7,7 @@ those trajectories agree to float roundoff rather than exactly.
 """
 
 import io
+import types
 
 import numpy as np
 import pytest
@@ -200,7 +201,8 @@ def test_missing_compiler_falls_back_to_numpy_loudly(monkeypatch):
     monkeypatch.setattr(backends, "_CC", "wealthsim-no-such-compiler")
     with pytest.warns(RuntimeWarning, match="numpy kernel"):
         selected = backends._select()
-    assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows)
+    assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows,
+                        _kernels_py.band_solver)
 
 
 def test_compile_command_names_the_loaded_build():
@@ -222,10 +224,11 @@ def test_cpu_identity_is_part_of_the_library_name():
 @pytest.mark.skipif(backends.backend_name != "c", reason="C kernel not built")
 def test_unsupported_native_flag_falls_back_to_a_portable_build(monkeypatch):
     monkeypatch.setattr(backends, "_NATIVE", "-march=wealthsim-no-such-cpu")
-    name, advance, write_rows = backends._select()
+    name, advance, write_rows, band_solver = backends._select()
     assert name == "c"
     assert not any(f.startswith("-march") for f in advance.compile_command)
     assert write_rows is not _kernels_py.write_rows
+    assert band_solver is not _kernels_py.band_solver
     monkeypatch.setattr(backends, "advance", advance)
     a = _advance("python", np.full(N, 600.0))
     b = _advance("c", np.full(N, 600.0))
@@ -247,3 +250,35 @@ def test_format_rows_refuses_arguments_that_would_overrun(columns, rows):
     with pytest.raises(ValueError):
         backends.write_rows(fh, columns, rows)
     assert fh.getvalue() == b""
+
+
+def _band(m=6, p=1, q=1, **kwargs):
+    ab = np.zeros((m, p + q + 1), **kwargs)
+    ab[:, p] = 2.0
+    return ab
+
+
+@pytest.mark.parametrize("ab, p, q, r", [
+    pytest.param(_band(), 1, 1, np.ones(5), id="rhs-short"),
+    pytest.param(_band(), 1, 1, np.ones(7), id="rhs-long"),
+    pytest.param(_band(), 1, 1, np.ones((6, 1)), id="rhs-2-d"),
+    pytest.param(_band(m=12)[::2], 1, 1, np.ones(6), id="band-strided"),
+    pytest.param(_band(order="F"), 1, 1, np.ones(6), id="band-fortran"),
+    pytest.param(_band(dtype=np.float32), 1, 1, np.ones(6), id="band-float32"),
+    pytest.param(_band().tolist(), 1, 1, np.ones(6), id="band-list"),
+    pytest.param(_band().ravel(), 1, 1, np.ones(6), id="band-1-d"),
+    pytest.param(_band(q=0), 1, 1, np.ones(6), id="band-narrower-than-p+q+1"),
+    pytest.param(_band(p=0), -1, 2, np.ones(6), id="negative-p"),
+    pytest.param(_band(q=0), 2, -1, np.ones(6), id="negative-q"),
+])
+def test_band_solver_refuses_arguments_that_would_overrun(ab, p, q, r):
+    # the compiled band_solver checks the band once, before band_lu, and the
+    # right-hand side before each band_solve: a stand-in library records the
+    # calls, and only a good band (here: any case with a bad right-hand side)
+    # reaches band_lu
+    calls = []
+    lib = types.SimpleNamespace(band_lu=lambda *a: calls.append("band_lu"),
+                                band_solve=lambda *a: calls.append("band_solve"))
+    with pytest.raises(ValueError):
+        backends._band_solver(lib)(ab, p, q)(r)
+    assert calls == ([] if r.shape == (6,) else ["band_lu"])

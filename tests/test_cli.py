@@ -485,16 +485,24 @@ def test_non_numeric_histogram_cell_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("rows", [
-    pytest.param("0.0,1.0,0\n1.0,3.0,3\n2.0,2.0,1\n3.0,inf,1\n", id="bin-hi-not-increasing"),
-    pytest.param("0.0,1.0,0\n1.0,2.0,-3\n2.0,inf,1\n", id="negative-count"),
-    pytest.param("0.0,1.0,0\n2.0,2.0,3\n1.0,inf,1\n", id="bin-lo-not-increasing"),
+@pytest.mark.parametrize("text", [
+    pytest.param("bin_lo,bin_hi,count\n0.0,1.0,0\n1.0,3.0,3\n2.0,2.0,1\n3.0,inf,1\n",
+                 id="bin-hi-not-increasing"),
+    pytest.param("bin_lo,bin_hi,count\n0.0,1.0,0\n1.0,2.0,-3\n2.0,inf,1\n",
+                 id="negative-count"),
+    pytest.param("bin_lo,bin_hi,count\n0.0,1.0,0\n2.0,2.0,3\n1.0,inf,1\n",
+                 id="bin-lo-not-increasing"),
     # a count of 1.5 is not truncated to 1
-    pytest.param("0.0,1.0,0\n1.0,2.0,1.5\n2.0,inf,1\n", id="fractional-count"),
+    pytest.param("bin_lo,bin_hi,count\n0.0,1.0,0\n1.0,2.0,1.5\n2.0,inf,1\n",
+                 id="fractional-count"),
+    # nor a window of [1.5, 300.7) to [1, 300)
+    pytest.param("window_start,window_end,bin_lo,bin_hi,count\n"
+                 "1.5,300.7,0.0,1.0,0\n1.5,300.7,1.0,2.0,3\n1.5,300.7,2.0,inf,1\n",
+                 id="fractional-window"),
 ])
-def test_malformed_histogram_is_a_config_error_naming_its_file(tmp_path, capsys, rows):
+def test_malformed_histogram_is_a_config_error_naming_its_file(tmp_path, capsys, text):
     hist = tmp_path / "h.csv"
-    hist.write_text("bin_lo,bin_hi,count\n" + rows, encoding="utf-8")
+    hist.write_text(text, encoding="utf-8")
     path = write_cfg(tmp_path, BASE + f"epsilon_sweep = -0.03\ncompare_histogram = {hist}\n")
     rc = cli.main(["stationary", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 2

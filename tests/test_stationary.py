@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wealthsim import analytics
+from wealthsim import analytics, backends
 from wealthsim import stationary as st
 from wealthsim.errors import GridTooCoarse, NoOverlap, NotConverged
 from wealthsim.stats import LogHistogram
@@ -184,22 +184,51 @@ def test_leading_eigenvalue_matches_dense_to_roundoff(small_grid, small_solution
     assert abs(small_solution.eigenvalue - lam1) < 1e-12
 
 
+def _centred_grid(m):
+    # same spacing as the default grid, m cells centred on the initial excess
+    dx = st.default_grid().dx
+    return st.LogGrid(x_min=math.log(600.0) - dx * m / 2, dx=dx, m=m)
+
+
+def _assert_every_band_solver_solves(op):
+    r = np.random.default_rng(7).random(op.grid.m)
+    want = np.linalg.solve(st.SHIFT * np.eye(op.grid.m) - op.to_dense(), r)
+    for name, band_solver in backends.band_solvers().items():
+        got = band_solver(*st._shifted_band(op))(r)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(),
+                                   err_msg=name)
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.03])
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, 15, 16, 17])
 def test_block_factor_solves_the_shifted_system(n_blocks, eps):
-    # the reduction meets one block, odd and even level sizes, and a power of
-    # two and its neighbours; m is not a multiple of b, so the last block is
-    # padded. The block size b = 9 holds over these narrow centred spans.
+    # the numpy backend's reduction meets one block, odd and even level
+    # sizes, and a power of two and its neighbours; m is not a multiple of b,
+    # so the last block is padded. The block size b = max(p, q) = 9 holds
+    # over these narrow centred spans.
     m = 9 * n_blocks - 1
-    dx = st.default_grid().dx
-    grid = st.LogGrid(x_min=math.log(600.0) - dx * m / 2, dx=dx, m=m)
-    op = st.build_operator(grid, 0.06, eps)
-    b = int(np.abs(op.offsets).max())
-    assert b == 9 and -(-m // b) == n_blocks
-    r = np.random.default_rng(7).random(grid.m)
-    want = np.linalg.solve(st.SHIFT * np.eye(grid.m) - op.to_dense(), r)
-    np.testing.assert_allclose(st._block_solve(st._block_factor(op), r), want,
-                               rtol=0, atol=1e-10 * np.abs(want).max())
+    op = st.build_operator(_centred_grid(m), 0.06, eps)
+    _, p, q = st._shifted_band(op)
+    assert max(p, q) == 9 and -(-m // 9) == n_blocks
+    _assert_every_band_solver_solves(op)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.03])
+@pytest.mark.parametrize("m", [2, 5, 19])
+def test_band_solvers_on_grids_about_as_wide_as_the_band(m, eps):
+    # a band row near one grid end meets the other too, and below m = 10
+    # whole diagonals of the band lie outside the matrix
+    _assert_every_band_solver_solves(st.build_operator(_centred_grid(m), 0.06, eps))
+
+
+@pytest.mark.skipif(len(backends.band_solvers()) < 2, reason="C library not built")
+def test_eigenvalues_agree_across_backends(small_grid, monkeypatch):
+    op = st.build_operator(small_grid, 0.06, -0.03)
+    values = {}
+    for name, band_solver in backends.band_solvers().items():
+        monkeypatch.setattr(backends, "band_solver", band_solver)
+        values[name], _, _ = st.leading_eigenpair(op, n_modes=3)
+    np.testing.assert_allclose(values["c"], values["python"], rtol=0, atol=1e-14)
 
 
 def test_iteration_counts_at_the_default_grid():
