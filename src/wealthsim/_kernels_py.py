@@ -205,5 +205,14 @@ def band_solver(ab, p, q):
     once, by block cyclic reduction with block size max(p, q), and each
     solve returns the x with M x = r. M must be strictly column diagonally
     dominant, or some block may be singular."""
+    m = ab.shape[0]
     levels = _block_factor(_tridiagonal_blocks(ab, p, q))
-    return lambda r: _block_solve(levels, r)
+
+    def solve(r):
+        """The x with M x = r, for a length-m vector r."""
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != (m,):
+            raise ValueError(f"right-hand side of shape {r.shape}, not ({m},)")
+        return _block_solve(levels, r)
+
+    return solve

@@ -2,10 +2,13 @@
 
 The day loop runs in ``_kernel.c`` when it can be built: on first import the
 system C compiler turns it into a shared library for the host CPU
-(``-march=native``) in this package's ``__pycache__/``, named by a hash of the
-source, the compile command and the CPU's identity (the first ``flags`` line
-of ``/proc/cpuinfo``), so a shared cache never hands one CPU a library built
-for another. ``ctypes`` loads it and releases the GIL for each call. If the
+(``-march=native``) in this package's ``__pycache__/`` as
+``_kernel.<source digest>.<build digest>.so``. The build digest covers the
+compile command and the CPU's identity (the first ``flags`` line of
+``/proc/cpuinfo``), so a shared cache never hands one CPU a library built for
+another. Each new build removes the cached libraries of other sources, and
+keeps those of its own source for other CPUs and commands. ``ctypes`` loads
+it and releases the GIL for each call. If the
 native build or load fails, the kernel is built once more without
 ``-march=native``; ``compile_command`` holds the command that built the loaded
 library. Without a compiler, or if that retry fails too, a warning names the
@@ -22,6 +25,7 @@ once and returns ``solve(r)``, through the library's ``band_lu`` and
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -83,8 +87,20 @@ def _cpu_identity() -> str:
 def _library_path(cmd, cpu: str) -> str:
     """Cache path of the library that ``cmd`` builds on the CPU ``cpu``."""
     with open(_SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read() + "\0".join([*cmd, cpu]).encode())
-    return os.path.join(_CACHE, f"_kernel.{digest.hexdigest()[:16]}.so")
+        source = hashlib.sha256(fh.read()).hexdigest()[:16]
+    build = hashlib.sha256("\0".join([*cmd, cpu]).encode()).hexdigest()[:16]
+    return os.path.join(_CACHE, f"_kernel.{source}.{build}.so")
+
+
+def _remove_other_sources(lib: str) -> None:
+    """Remove the cached libraries built from another source than ``lib``;
+    ``.so.tmp`` files of builds in progress stay."""
+    keep = os.path.basename(lib).split(".")[1]
+    for name in os.listdir(_CACHE):
+        if (name.startswith("_kernel.") and name.endswith(".so")
+                and name.split(".")[1] != keep):
+            with contextlib.suppress(OSError):  # another build removed it first
+                os.unlink(os.path.join(_CACHE, name))
 
 
 def _build(cmd) -> str:
@@ -102,6 +118,7 @@ def _build(cmd) -> str:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _remove_other_sources(lib)
     return lib
 
 

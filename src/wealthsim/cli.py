@@ -309,8 +309,8 @@ def read_histogram(path: str) -> stats.LogHistogram:
     """Rebuild a LogHistogram from an exported histogram CSV.
 
     The file must hold exactly one histogram: bin_lo/bin_hi/count columns
-    with the open-ended bins first and last (as written by simulate's
-    windowed export).
+    with the open-ended bins first and last, and one window on every row
+    (as written by simulate's windowed export).
     """
     try:
         _, _, cols = tableio.read_table(path)
@@ -321,12 +321,16 @@ def read_histogram(path: str) -> stats.LogHistogram:
             raise ParseError([f"{path}: missing column {need!r}"])
     lo = np.asarray(cols["bin_lo"], dtype=np.float64)
     hi = np.asarray(cols["bin_hi"], dtype=np.float64)
-    if lo.size < 3 or np.any(np.diff(lo) <= 0):
-        raise ParseError([f"{path}: expected one histogram with increasing bins"])
     edges = hi[:-1]
+    if not all(map(np.array_equal, (lo, hi), _bin_bounds(edges))):
+        raise ParseError([f"{path}: bin_lo/bin_hi are not the bins of one histogram, "
+                          "consecutive and open-ended first and last"])
     window = None
-    if "window_start" in cols and "window_end" in cols and len(cols["window_start"]):
-        bounds = [cols[name][0] for name in ("window_start", "window_end")]
+    if "window_start" in cols and "window_end" in cols:
+        bounds = [np.unique(cols[name]) for name in ("window_start", "window_end")]
+        if any(b.size != 1 for b in bounds):
+            raise ParseError([f"{path}: window_start/window_end differ between rows"])
+        bounds = [b[0] for b in bounds]
         if not all(np.isfinite(v) and v == math.floor(v) for v in bounds):
             raise ParseError([f"{path}: window cells must be whole days, got "
                               f"{', '.join(map(tableio.format_value, bounds))}"])

@@ -101,10 +101,10 @@ def default_grid(w1: float = ModelParams.w1, wp: float = ModelParams.wp,
 class BandOperator:
     """One day of mean-field transport as a banded linear operator.
 
-    ``weights[c, k]`` is the probability mass cell c sends to cell
-    c + offsets[k]; mass aimed off either end of the grid is dropped
-    (absorbing boundaries). ``shifts`` records each source cell's centroid
-    displacement relative to the population frame.
+    ``weights[c, k]`` is the mass cell c sends to cell c + offsets[k], kept
+    where that cell lies off the grid too, so each source sends 1 to roundoff;
+    ``apply`` and the shifted band absorb those taps. ``shifts`` records each
+    source cell's centroid displacement relative to the population frame.
     """
 
     grid: LogGrid
@@ -114,17 +114,20 @@ class BandOperator:
     weights: np.ndarray
     shifts: np.ndarray
 
+    def _on_grid(self):
+        """Yield (k, offsets[k], dst, src) per offset, where out[dst] takes
+        weights[src, k] * v[src] for the cells on the grid at both ends. Taps
+        aimed off it are absorbed; a grid narrower than the band gives empty slices."""
+        m = self.grid.m
+        for k, off in enumerate(self.offsets.tolist()):
+            lo, hi = max(off, 0), max(off, 0, m + min(off, 0))
+            yield k, off, slice(lo, hi), slice(lo - off, hi - off)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Push one day of mass: out[c + offsets[k]] += weights[c, k] * v[c]."""
-        m = self.grid.m
-        out = np.zeros(m)
-        for k, off in enumerate(self.offsets):
-            o = int(off)
-            if o >= 0:
-                if o < m:
-                    out[o:] += self.weights[: m - o, k] * v[: m - o]
-            elif -o < m:
-                out[: m + o] += self.weights[-o:, k] * v[-o:]
+        out = np.zeros(self.grid.m)
+        for k, _, dst, src in self._on_grid():
+            out[dst] += self.weights[src, k] * v[src]
         return out
 
     def residual(self, lam: float, v: np.ndarray) -> float:
@@ -132,7 +135,7 @@ class BandOperator:
         return float(np.abs(self.apply(v) - lam * v).sum())
 
     def source_sums(self) -> np.ndarray:
-        """Outgoing mass per source cell (exactly 1 away from the corners)."""
+        """Mass each source cell sends, off-grid taps included: 1 to roundoff."""
         return self.weights.sum(axis=1)
 
     def row_sums(self) -> np.ndarray:
@@ -142,12 +145,10 @@ class BandOperator:
     def to_dense(self) -> np.ndarray:
         """Dense matrix form for small grids (tests and cross-checks)."""
         m = self.grid.m
+        dst = np.arange(m)[:, None] + self.offsets
+        src, k = np.nonzero((0 <= dst) & (dst < m))
         dense = np.zeros((m, m))
-        for k, off in enumerate(self.offsets):
-            for c in range(m):
-                d = c + int(off)
-                if 0 <= d < m:
-                    dense[d, c] += self.weights[c, k]
+        dense[dst[src, k], src] = self.weights[src, k]
         return dense
 
 
@@ -198,17 +199,23 @@ def build_operator(grid: LogGrid, beta: float, epsilon: float,
     s = np.exp(x) / (w1 + np.exp(x))  # status as a function of log-excess
     shifts = np.log1p(epsilon * s) - math.log1p(epsilon * frame_status(w1, wp))
 
-    # Fractional-offset resampling: displacing by delta = (k + f)*dx splits
-    # each band weight between neighbouring offsets with weights (1-f, f);
-    # this preserves the total and moves the centroid by exactly delta.
+    # Fractional-offset resampling: displacing by delta = (k + f)*dx splits each
+    # band weight (1-f, f) between neighbouring offsets, keeping the total and
+    # moving the centroid by exactly delta. Column j of source c takes f*pad[t] +
+    # (1-f)*pad[t+1], t = j - first[c]; clipped t reads pad's 0 ends.
     k = np.floor(shifts / grid.dx).astype(np.int64)
     f = shifts / grid.dx - k
     all_offsets = np.arange(offsets.min() + k.min(), offsets.max() + k.max() + 2)
-    weights = np.zeros((grid.m, all_offsets.size))
-    base_col = offsets[0] + k - all_offsets[0]  # position of the band's first tap
+    j = np.arange(all_offsets.size)[:, None]  # gathered as (offsets, sources)
+    first = offsets[0] + k - all_offsets[0]  # column of each source's first tap
     pad = np.concatenate([[0.0], band, [0.0]])
-    taps = f[:, None] * pad[:-1] + (1.0 - f)[:, None] * pad[1:]
-    np.put_along_axis(weights, base_col[:, None] + np.arange(band.size + 1), taps, axis=1)
+    split = pad.take(j - first, mode="clip")
+    split *= f
+    upper = pad.take(j + 1 - first, mode="clip")
+    upper *= 1.0 - f
+    split += upper
+    weights = upper.reshape(grid.m, -1)  # upper is spent: its buffer takes the transpose
+    weights[...] = split.T
     return BandOperator(grid=grid, beta=beta, epsilon=epsilon,
                         offsets=all_offsets, weights=weights, shifts=shifts)
 
@@ -217,14 +224,10 @@ def _shifted_band(op: BandOperator) -> Tuple[np.ndarray, int, int]:
     """``SHIFT*I - A`` for the band matrix A of ``op`` as (ab, p, q): p sub-
     and q super-diagonals, with entry (i, j) at ``ab[i, j - i + p]``, the
     storage ``backends.band_solver`` takes."""
-    m = op.grid.m
     p, q = max(int(op.offsets.max()), 0), max(-int(op.offsets.min()), 0)
-    ab = np.zeros((m, p + q + 1))
-    for k, off in enumerate(op.offsets):
-        # A[d, d - off] = weights[d - off, k] sits at ab[d, p - off]
-        lo, hi = max(off, 0), m + min(off, 0)
-        if lo < hi:  # else the tap reaches past a grid narrower than the band
-            ab[lo:hi, p - off] = -op.weights[lo - off: hi - off, k]
+    ab = np.zeros((op.grid.m, p + q + 1))
+    for k, off, dst, src in op._on_grid():
+        ab[dst, p - off] = -op.weights[src, k]  # A[d, d - off] = weights[d - off, k]
     ab[:, p] += SHIFT
     return ab, p, q
 
@@ -318,10 +321,8 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
             deflations.append((lam, v, u, z / (1.0 + u @ z)))
 
     order = np.argsort(found_vals)[::-1]
-    values = np.array([found_vals[i] for i in order])
-    modes = [found_modes[i] for i in order]
-    iters = [iterations[i] for i in order]
-    return values, modes, iters
+    return (np.array(found_vals)[order], [found_modes[i] for i in order],
+            [iterations[i] for i in order])
 
 
 @dataclass
@@ -345,8 +346,7 @@ class StationarySolution:
 
     @property
     def std_x(self) -> float:
-        mu = self.mean_x
-        return float(np.sqrt(((self.grid.x - mu) ** 2 * self.mode).sum()))
+        return float(np.sqrt(((self.grid.x - self.mean_x) ** 2 * self.mode).sum()))
 
     @property
     def boundary_piled(self) -> bool:

@@ -7,6 +7,8 @@ those trajectories agree to float roundoff rather than exactly.
 """
 
 import io
+import os
+import sys
 import types
 
 import numpy as np
@@ -221,6 +223,24 @@ def test_cpu_identity_is_part_of_the_library_name():
     assert one != backends._library_path(cmd, "")
 
 
+def test_a_build_removes_the_libraries_of_other_sources_only(tmp_path, monkeypatch):
+    # a stand-in compiler writes its output file, sys.argv[2] after "-o"
+    monkeypatch.setattr(backends, "_CACHE", str(tmp_path))
+    cmd = [sys.executable, "-c", "import sys; open(sys.argv[2], 'wb').write(b'lib')"]
+    lib = backends._library_path(cmd, backends._cpu_identity())
+    _, source, _, _ = os.path.basename(lib).split(".")
+    assert os.path.basename(backends._library_path(["cc"], "")).split(".")[1] == source
+    kept = [f"_kernel.{source}.0123456789abcdef.so",  # the same source, another CPU
+            "_kernel.fedcba9876543210.so.tmp"]        # a build in progress
+    stale = ["_kernel.fedcba9876543210.0123456789abcdef.so",  # another source
+             "_kernel.fedcba9876543210.so"]                     # an older name
+    for name in kept + stale:
+        (tmp_path / name).write_bytes(b"")
+    assert backends._build(cmd) == lib
+    assert (tmp_path / os.path.basename(lib)).read_bytes() == b"lib"
+    assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(lib), *kept])
+
+
 @pytest.mark.skipif(backends.backend_name != "c", reason="C kernel not built")
 def test_unsupported_native_flag_falls_back_to_a_portable_build(monkeypatch):
     monkeypatch.setattr(backends, "_NATIVE", "-march=wealthsim-no-such-cpu")
@@ -258,10 +278,11 @@ def _band(m=6, p=1, q=1, **kwargs):
     return ab
 
 
+_BAD_RHS = {"rhs-short": np.ones(5), "rhs-long": np.ones(7), "rhs-2-d": np.ones((6, 1))}
+
+
 @pytest.mark.parametrize("ab, p, q, r", [
-    pytest.param(_band(), 1, 1, np.ones(5), id="rhs-short"),
-    pytest.param(_band(), 1, 1, np.ones(7), id="rhs-long"),
-    pytest.param(_band(), 1, 1, np.ones((6, 1)), id="rhs-2-d"),
+    *(pytest.param(_band(), 1, 1, r, id=name) for name, r in _BAD_RHS.items()),
     pytest.param(_band(m=12)[::2], 1, 1, np.ones(6), id="band-strided"),
     pytest.param(_band(order="F"), 1, 1, np.ones(6), id="band-fortran"),
     pytest.param(_band(dtype=np.float32), 1, 1, np.ones(6), id="band-float32"),
@@ -282,3 +303,12 @@ def test_band_solver_refuses_arguments_that_would_overrun(ab, p, q, r):
     with pytest.raises(ValueError):
         backends._band_solver(lib)(ab, p, q)(r)
     assert calls == ([] if r.shape == (6,) else ["band_lu"])
+
+
+@pytest.mark.parametrize("r", [pytest.param(r, id=name) for name, r in _BAD_RHS.items()])
+def test_every_band_solver_refuses_a_right_hand_side_of_the_wrong_shape(r):
+    # with p = q = 2 the numpy solver pads r to whole 2-cell blocks, which
+    # would absorb a short r without its own check
+    for band_solver in backends.band_solvers().values():
+        with pytest.raises(ValueError, match="right-hand side"):
+            band_solver(_band(p=2, q=2), 2, 2)(r)

@@ -499,6 +499,16 @@ def test_non_numeric_histogram_cell_is_a_config_error(tmp_path, capsys):
     pytest.param("window_start,window_end,bin_lo,bin_hi,count\n"
                  "1.5,300.7,0.0,1.0,0\n1.5,300.7,1.0,2.0,3\n1.5,300.7,2.0,inf,1\n",
                  id="fractional-window"),
+    # bin_hi 1, 5, 6 is not the upper bound of bins starting at 1, 2, 3
+    pytest.param("bin_lo,bin_hi,count\n0.0,1.0,0\n1.0,5.0,3\n2.0,6.0,1\n3.0,inf,1\n",
+                 id="bin-lo-disagrees-with-bin-hi"),
+    # closed outer bins are not read as the under- and overflow
+    pytest.param("bin_lo,bin_hi,count\n5.0,10.0,0\n10.0,20.0,3\n20.0,30.0,1\n",
+                 id="outer-bins-not-open"),
+    # the window is not taken from the first row alone
+    pytest.param("window_start,window_end,bin_lo,bin_hi,count\n"
+                 "1,300,0.0,1.0,0\n1,300,1.0,2.0,3\n1,301,2.0,inf,1\n",
+                 id="window-differs-between-rows"),
 ])
 def test_malformed_histogram_is_a_config_error_naming_its_file(tmp_path, capsys, text):
     hist = tmp_path / "h.csv"

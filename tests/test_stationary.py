@@ -156,12 +156,18 @@ def test_status_shift_profile(small_grid):
 
 
 def test_apply_matches_dense_matvec(small_grid):
-    op = st.build_operator(small_grid, 0.06, -0.03)
-    dense = op.to_dense()
+    # on grids about as wide as the band, offsets reach past one grid end or
+    # both, and apply's slices of on-grid cells come out one-sided or empty
+    ops = [st.build_operator(small_grid, 0.06, -0.03)]
+    ops += [st.build_operator(_centred_grid(m), 0.06, eps)
+            for m in (2, 5, 19) for eps in (0.0, -0.03)]
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        v = rng.random(small_grid.m)
-        np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-13, rtol=0)
+    for op in ops:
+        dense = op.to_dense()
+        for _ in range(3):
+            v = rng.random(op.grid.m)
+            np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-13, rtol=0,
+                                       err_msg=f"m={op.grid.m} eps={op.epsilon}")
 
 
 # --- eigensolve ------------------------------------------------------------
