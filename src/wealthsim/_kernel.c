@@ -34,8 +34,8 @@
 #include <stdint.h>
 #include <string.h>
 
-/* 16 lanes fill two 512-bit vectors. On an AVX-512 host GCC 12 splits an
- * 8-lane block into 256-bit halves, and the coupled day runs ~1.6x slower. */
+/* 16 lanes of doubles fill two 512-bit vectors, as backends.py builds for an
+ * AVX-512 host (-mprefer-vector-width=512), or four 256-bit ones. */
 #define LANES 16
 
 static inline uint64_t mix(uint64_t z)
@@ -45,12 +45,14 @@ static inline uint64_t mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* The multiplier of agent j on the day whose counter base is base. */
-static inline double multiplier(uint64_t key, uint64_t base, int64_t j,
-                                double beta, double x, int skewed,
+/* The multiplier of the agent with counter c. Agent j's counter on the day
+ * whose counter base is base is key + (base + j + 1) * GOLDEN, so each
+ * agent's counter is the one before plus GOLDEN (mod 2^64): the day loop
+ * grows it by addition. */
+static inline double multiplier(uint64_t c, double beta, double x, int skewed,
                                 double epsilon, double w1)
 {
-    uint64_t z = mix(key + (base + (uint64_t)j + 1) * GOLDEN);
+    uint64_t z = mix(c);
     double lam = 1.0 + beta * (1.0 - 2.0 * ((double)(z >> 11) * 0x1p-53));
     if (skewed)
         lam *= 1.0 + epsilon * (x / (w1 + x));
@@ -68,6 +70,12 @@ static inline void compensated_add(double *s, double *c, double x)
     *s = t;
 }
 
+/* The counter of agent 0 on day t of run run. */
+static inline uint64_t first_counter(uint64_t key, uint64_t run, int64_t t)
+{
+    return key + ((run << RUN_SHIFT | (uint64_t)t << T_SHIFT) + 1) * GOLDEN;
+}
+
 /* Advance excess[0..n) in place over days [t0, t0 + n_days). Returns -1, or
  * the first day whose coupled total falls below degen; that total is stored
  * in *bad_total and the day is left unrescaled. The day loop is a static
@@ -81,28 +89,27 @@ static int64_t days(double *excess, int64_t n, uint64_t key, uint64_t run,
 {
     if (!coupled) {
         for (int64_t t = t0; t < t0 + n_days; t++) {
-            uint64_t base = run << RUN_SHIFT | (uint64_t)t << T_SHIFT;
-            for (int64_t j = 0; j < n; j++)
-                excess[j] *= multiplier(key, base, j, beta, excess[j], skewed,
-                                        epsilon, w1);
+            uint64_t c = first_counter(key, run, t);
+            for (int64_t j = 0; j < n; j++, c += GOLDEN)
+                excess[j] *= multiplier(c, beta, excess[j], skewed, epsilon, w1);
         }
         return -1;
     }
     double g = 1.0; /* the rescale owed by the day before */
     for (int64_t t = t0; t < t0 + n_days; t++) {
-        uint64_t base = run << RUN_SHIFT | (uint64_t)t << T_SHIFT;
+        uint64_t c = first_counter(key, run, t);
         double sum[LANES] = {0.0}, comp[LANES] = {0.0};
         int64_t j = 0;
-        for (; j + LANES <= n; j += LANES)
+        for (; j + LANES <= n; j += LANES, c += LANES * GOLDEN)
             for (int k = 0; k < LANES; k++) {
                 double x = excess[j + k] * g;
-                x *= multiplier(key, base, j + k, beta, x, skewed, epsilon, w1);
+                x *= multiplier(c + k * GOLDEN, beta, x, skewed, epsilon, w1);
                 excess[j + k] = x;
                 compensated_add(&sum[k], &comp[k], x);
             }
         for (int k = 0; j < n; j++, k++) {
             double x = excess[j] * g;
-            x *= multiplier(key, base, j, beta, x, skewed, epsilon, w1);
+            x *= multiplier(c + k * GOLDEN, beta, x, skewed, epsilon, w1);
             excess[j] = x;
             compensated_add(&sum[k], &comp[k], x);
         }

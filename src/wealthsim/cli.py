@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytics, engine, stats, stationary, tableio
-from .errors import (DomainError, NotConverged, ParameterError, ParseError,
-                     WealthsimError)
+from .errors import NotConverged, ParameterError, ParseError, WealthsimError
 from .params import Mode, ModelParams
 
 # ---------------------------------------------------------------------------
@@ -123,6 +122,14 @@ class ExperimentConfig(ModelParams):
         edges = None
         if with_histograms and (self.window_start, self.window_end) != (0, 0):
             window = (self.window_start, self.window_end)
+            # the first stride tick at or after window_start
+            tick = -(-self.window_start // self.series_stride) * self.series_stride
+            if tick >= self.window_end or tick > self.t_max:
+                raise ParameterError(
+                    f"window_start/window_end: [{self.window_start}, "
+                    f"{self.window_end}) holds no stride tick (a multiple of "
+                    f"series_stride = {self.series_stride}) in [0, t_max = "
+                    f"{self.t_max}]")
             edges = self.histogram_edges()
         return engine.default_schedule(self.t_max, n_snapshots=self.snapshot_count,
                                        series_stride=self.series_stride,
@@ -435,16 +442,18 @@ def _rank1_negative_fraction(fm: stats.FluxMatrix) -> float:
 
 
 def cmd_analytic(cfg: ExperimentConfig, out_dir: str) -> int:
+    # the k-exceedance edge needs k / n_agents inside inv_erfc's domain (0, 2)
+    beyond = [k for k in cfg.k_list if k / cfg.n_agents >= 2.0]
+    if beyond:
+        raise ParameterError(f"k_list entries must be below 2 * n_agents = "
+                             f"{2 * cfg.n_agents} for analytic, got "
+                             f"{', '.join(map(tableio.format_value, beyond))}")
     ex = _Exporter(cfg, out_dir)
     env = analytics.GaussianEnvelope(x0=math.log(cfg.w1 - cfg.wp), beta=cfg.beta,
                                      n_agents=cfg.n_agents)
     t_grid = np.unique(np.rint(np.geomspace(1.0, max(cfg.t_max, 1), 75)).astype(np.int64))
     for k in cfg.k_list:
-        try:
-            curve = analytics.quantile_curve(env, k, t_grid)
-        except DomainError as exc:
-            print(f"analytic: k={tableio.format_value(k)}: {exc}", file=sys.stderr)
-            raise
+        curve = analytics.quantile_curve(env, k, t_grid)
         ex.table(f"quantile_k{_float_tag(k)}.csv", "quantile-curve",
                  ["t", "log_excess"],
                  [t_grid, np.array([x for _, x in curve.samples])],

@@ -325,13 +325,52 @@ def test_io_error_during_a_command_exits_4(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
-def test_analytic_domain_error_exits_3(tmp_path, capsys):
-    # default k_list reaches k values > 2*n_agents: outside the envelope domain
-    path = write_cfg(tmp_path, BASE)
+@pytest.mark.parametrize("k_list, named", [
+    pytest.param(None, "256.0, 1024.0", id="default-k_list"),
+    pytest.param("1, 120", "120.0", id="k-equal-to-2-n_agents"),
+])
+def test_analytic_k_outside_the_envelope_domain_exits_2(tmp_path, capsys, k_list, named):
+    # k / n_agents must lie below 2; the default k_list reaches 1024 and n_agents is 60
+    path = write_cfg(tmp_path, BASE + (f"k_list = {k_list}\n" if k_list else ""))
     rc = cli.main(["analytic", "--config", path, "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert "k=256" in capsys.readouterr().err
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "k_list" in err and f"got {named}" in err
     assert not (tmp_path / "o").exists()  # failed command leaves nothing behind
+    # simulate does not read k_list, so the same config runs
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
+
+
+@pytest.mark.parametrize("t_max, start, end", [
+    pytest.param(30, 150, 450, id="window-after-t_max"),
+    pytest.param(400, 101, 149, id="window-between-ticks"),
+])
+def test_window_without_a_stride_tick_exits_2(tmp_path, capsys, t_max, start, end):
+    # stride ticks are multiples of series_stride = 50 in [0, t_max]
+    text = (BASE.replace("t_max = 400", f"t_max = {t_max}")
+                .replace("window_start = 100", f"window_start = {start}")
+                .replace("window_end = 300", f"window_end = {end}"))
+    path = write_cfg(tmp_path, text)
+    rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "window_start/window_end" in err
+    assert f"[{start}, {end})" in err
+    assert not (tmp_path / "o").exists()
+    # correlate records no windowed histogram, so the same config runs
+    assert cli.main(["correlate", "--config", path, "--out", str(tmp_path / "c")]) == 0
+
+
+def test_window_holding_only_its_last_tick_runs(tmp_path):
+    # [101, 151) holds the tick 150, and [351, 999) the tick 400 = t_max
+    for start, end in ((101, 151), (351, 999)):
+        text = (BASE.replace("window_start = 100", f"window_start = {start}")
+                    .replace("window_end = 300", f"window_end = {end}"))
+        out = tmp_path / f"o{start}"
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, text),
+                         "--out", str(out)]) == 0
+        hist = cli.read_histogram(str(out / "window_hist_run00.csv"))
+        assert hist.counts.sum() == 60  # one tick of 60 agents
 
 
 # --- simulate ---------------------------------------------------------------
