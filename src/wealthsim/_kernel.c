@@ -1,10 +1,10 @@
 /* Compiled day loop, CSV row formatter and banded LU.
  *
- * advance is the same update as _kernels_py.advance, in C: it advances
- * through a block of stop days and stores the vector at each, for the
- * engine to record. backends.py compiles this file for the host CPU and
- * defines GOLDEN, MIX1, MIX2, RUN_SHIFT and T_SHIFT on the command line from
- * wealthsim.rng, so the counter layout has a single source. The draws and
+ * advance is the same update as _kernels_py.advance, in C: its stop loop
+ * runs the day loop through a block of stop days and stores the vector at
+ * each, for the engine to record. backends.py compiles this file for the
+ * host CPU and defines GOLDEN, MIX1, MIX2, RUN_SHIFT and T_SHIFT on the
+ * command line from wealthsim.rng, so the counter layout has one source. The draws and
  * the per-element update order match the numpy kernel, which makes free
  * mode agree bit for bit; that needs the build to forbid contracting a*b+c
  * into a fused multiply-add (-ffp-contract=off).
@@ -12,11 +12,11 @@
  * A coupled day is one pass over the agents: draw, apply the rescale g left
  * pending by the day before, apply the multiplier, store, and add the value
  * to one of LANES independent compensated partial sums (Neumaier 1974, in
- * lanes as in Ogita, Rump & Oishi 2005). The pending g is settled in one
- * last pass before a normal return. Each element still sees
- * ((x * lam_t) * g_t) * lam_t+1, rounded step by step as in the numpy
- * kernel; only the order in which the total is summed differs, so coupled
- * modes agree with numpy to roundoff.
+ * lanes as in Ogita, Rump & Oishi 2005). g starts at 1 at each stop, and
+ * a coupled stop settles it in one last pass before its row is copied.
+ * Each element still sees ((x * lam_t) * g_t) * lam_t+1, rounded step by
+ * step as in the numpy kernel; only the order in which the total is summed
+ * differs, so coupled modes agree with numpy to roundoff.
  *
  * format_rows writes int64 and float64 columns as the CSV lines that
  * tableio.format_value defines, cell for cell. A float's 17 significant
@@ -76,65 +76,12 @@ static inline uint64_t first_counter(uint64_t key, uint64_t run, int64_t t)
     return key + ((run << RUN_SHIFT | (uint64_t)t << T_SHIFT) + 1) * GOLDEN;
 }
 
-/* Advance excess[0..n) in place over days [t0, t0 + n_days). Returns -1, or
- * the first day whose coupled total falls below degen; that total is stored
- * in *bad_total and the day is left unrescaled. The day loop is a static
- * function apart from advance because glibc exports a legacy advance
- * (<regexp.h>): a call through that name from inside this library can bind
- * to glibc's. */
-static int64_t days(double *excess, int64_t n, uint64_t key, uint64_t run,
-                    int64_t t0, int64_t n_days, double beta, double epsilon,
-                    double w1, int skewed, int coupled, double target_total,
-                    double degen, double *bad_total)
-{
-    if (!coupled) {
-        for (int64_t t = t0; t < t0 + n_days; t++) {
-            uint64_t c = first_counter(key, run, t);
-            for (int64_t j = 0; j < n; j++, c += GOLDEN)
-                excess[j] *= multiplier(c, beta, excess[j], skewed, epsilon, w1);
-        }
-        return -1;
-    }
-    double g = 1.0; /* the rescale owed by the day before */
-    for (int64_t t = t0; t < t0 + n_days; t++) {
-        uint64_t c = first_counter(key, run, t);
-        double sum[LANES] = {0.0}, comp[LANES] = {0.0};
-        int64_t j = 0;
-        for (; j + LANES <= n; j += LANES, c += LANES * GOLDEN)
-            for (int k = 0; k < LANES; k++) {
-                double x = excess[j + k] * g;
-                x *= multiplier(c + k * GOLDEN, beta, x, skewed, epsilon, w1);
-                excess[j + k] = x;
-                compensated_add(&sum[k], &comp[k], x);
-            }
-        for (int k = 0; j < n; j++, k++) {
-            double x = excess[j] * g;
-            x *= multiplier(c + k * GOLDEN, beta, x, skewed, epsilon, w1);
-            excess[j] = x;
-            compensated_add(&sum[k], &comp[k], x);
-        }
-        double total = 0.0, err = 0.0;
-        for (int k = 0; k < LANES; k++) {
-            compensated_add(&total, &err, sum[k]);
-            err += comp[k];
-        }
-        total += err;
-        if (total < degen) {
-            *bad_total = total;
-            return t;
-        }
-        g = target_total / total;
-    }
-    for (int64_t j = 0; j < n; j++)
-        excess[j] *= g;
-    return -1;
-}
-
 /* Advance excess[0..n) in place from day t0 through each of the n_stops
  * increasing days stops[i], and copy the vector at stops[i] into row i of
  * out (n_stops x n), unless out is NULL. Every stop settles the pending
  * rescale, so the rows are the vectors that one call per stop would leave.
- * Returns as days does. */
+ * Returns -1, or the first day whose coupled total falls below degen; that
+ * total is stored in *bad_total and the day is left unrescaled. */
 int64_t advance(double *excess, int64_t n, uint64_t key, uint64_t run,
                 int64_t t0, const int64_t *stops, int64_t n_stops,
                 double *out, double beta, double epsilon, double w1,
@@ -142,11 +89,44 @@ int64_t advance(double *excess, int64_t n, uint64_t key, uint64_t run,
                 double *bad_total)
 {
     for (int64_t i = 0; i < n_stops; t0 = stops[i++]) {
-        int64_t bad_t = days(excess, n, key, run, t0, stops[i] - t0, beta,
-                             epsilon, w1, skewed, coupled, target_total,
-                             degen, bad_total);
-        if (bad_t >= 0)
-            return bad_t;
+        double g = 1.0; /* the rescale owed by the day before */
+        for (int64_t t = t0; t < stops[i]; t++) {
+            uint64_t c = first_counter(key, run, t);
+            if (!coupled) {
+                for (int64_t j = 0; j < n; j++, c += GOLDEN)
+                    excess[j] *= multiplier(c, beta, excess[j], skewed, epsilon, w1);
+                continue;
+            }
+            double sum[LANES] = {0.0}, comp[LANES] = {0.0};
+            int64_t j = 0;
+            for (; j + LANES <= n; j += LANES, c += LANES * GOLDEN)
+                for (int k = 0; k < LANES; k++) {
+                    double x = excess[j + k] * g;
+                    x *= multiplier(c + k * GOLDEN, beta, x, skewed, epsilon, w1);
+                    excess[j + k] = x;
+                    compensated_add(&sum[k], &comp[k], x);
+                }
+            for (int k = 0; j < n; j++, k++) {
+                double x = excess[j] * g;
+                x *= multiplier(c + k * GOLDEN, beta, x, skewed, epsilon, w1);
+                excess[j] = x;
+                compensated_add(&sum[k], &comp[k], x);
+            }
+            double total = 0.0, err = 0.0;
+            for (int k = 0; k < LANES; k++) {
+                compensated_add(&total, &err, sum[k]);
+                err += comp[k];
+            }
+            total += err;
+            if (total < degen) {
+                *bad_total = total;
+                return t;
+            }
+            g = target_total / total;
+        }
+        if (coupled)
+            for (int64_t j = 0; j < n; j++)
+                excess[j] *= g;
         if (out)
             memcpy(out + i * n, excess, (size_t)n * sizeof *excess);
     }

@@ -114,25 +114,22 @@ def _tridiagonal_blocks(ab: np.ndarray, p: int, q: int) -> np.ndarray:
 
     With block size b = max(p, q) every band entry lies in one of these
     three b x b blocks of its block row, so M is exactly block-tridiagonal
-    (the last block is padded with 1 on the diagonal).
+    (the last block is padded with 1 on the diagonal). One scatter puts
+    M[i, i + d], i = I b + r, at column b + r + d of row r of block row I's
+    3b-wide panel, which holds M's columns from (I - 1) b on: split at b and
+    2b, the panels are L_I, D_I and U_I. Entries outside M are dropped.
     """
     m = ab.shape[0]
     b = max(p, q)
     nb = -(-m // b)
-    blocks = np.zeros((3, nb, b, b))
-    r = np.arange(b)  # row within a block
-    for c in range(p + q + 1):
-        # row r of block row I meets column j = i + d of the band's column c
-        # in block column I + (r + d) // b, at position (r + d) % b
-        d = c - p
-        lo, hi = max(-d, 0), m - max(d, 0)
-        band = np.zeros(nb * b)
-        if lo < hi:  # else the diagonal lies outside a grid narrower than the band
-            band[lo:hi] = ab[lo:hi, c]
-        blocks[1 + (r + d) // b, :, r, (r + d) % b] = band.reshape(nb, b).T
+    i = np.arange(m)[:, None]
+    panels = np.zeros((nb, b, 3 * b))
+    panels.reshape(-1)[3 * b * i + b + i % b + np.arange(-p, q + 1)] = ab
+    j = (np.arange(nb)[:, None, None] - 1) * b + np.arange(3 * b)  # M's column
+    np.copyto(panels, 0.0, where=(j < 0) | (j >= m))
     pad = np.arange(m - (nb - 1) * b, b)  # the last block's rows past m
-    blocks[1, -1, pad, pad] = 1.0
-    return blocks
+    panels[-1, pad, b + pad] = 1.0
+    return np.ascontiguousarray(panels.reshape(nb, b, 3, b).transpose(2, 0, 1, 3))
 
 
 def _block_factor(blocks: np.ndarray) -> List[Tuple[np.ndarray, ...]]:

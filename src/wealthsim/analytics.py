@@ -40,8 +40,9 @@ def drift_velocity(beta: float) -> float:
 
     Negative for every beta in (0,1); -> -beta^2/6 as beta -> 0.
     """
-    if beta == 0.0:
-        return 0.0
+    if beta < 0.01:  # the closed form cancels: -sum_k beta^(2k)/(2k(2k+1)) to 1e-20
+        b2 = beta * beta
+        return -b2 * (1/6 + b2 * (1/20 + b2 * (1/42 + b2 * (1/72 + b2/110))))
     return (1.0 / (2.0 * beta)) * (
         (1.0 + beta) * math.log1p(beta) - (1.0 - beta) * math.log1p(-beta)
     ) - 1.0

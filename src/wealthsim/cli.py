@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytics, engine, stats, stationary, tableio
-from .errors import NotConverged, ParameterError, ParseError, WealthsimError
+from .errors import GridTooCoarse, NotConverged, ParameterError, ParseError, WealthsimError
 from .params import Mode, ModelParams
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,16 @@ def _rank1_negative_fraction(fm: stats.FluxMatrix) -> float:
     return float(np.mean(fm.C[0, bulk] < 0))
 
 
+def _require_spread(cfg: ExperimentConfig, command: str) -> None:
+    """Refuse beta = 0 (simulate's static case), or so small that its drift
+    underflows: no diffusion envelope for analytic, no band for stationary."""
+    if not analytics.drift_velocity(cfg.beta) < 0.0:
+        raise ParameterError(f"beta must lie in (0, 1) for {command}, with a drift "
+                             f"-beta^2/6 that does not underflow to 0, got {cfg.beta}")
+
+
 def cmd_analytic(cfg: ExperimentConfig, out_dir: str) -> int:
+    _require_spread(cfg, "analytic")
     # the k-exceedance edge needs k / n_agents inside inv_erfc's domain (0, 2)
     beyond = [k for k in cfg.k_list if k / cfg.n_agents >= 2.0]
     if beyond:
@@ -473,6 +482,7 @@ def cmd_analytic(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
+    _require_spread(cfg, "stationary")
     ex = _Exporter(cfg, out_dir)
     hist = read_histogram(cfg.compare_histogram) if cfg.compare_histogram else None
     grid = stationary.default_grid(cfg.w1, cfg.wp, m=cfg.grid_points)
@@ -481,10 +491,17 @@ def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
               "peak_x", "std_x", "boundary_piled", "tv"]
     rows: List[List[float]] = []
     for eps in cfg.epsilon_sweep:
-        op = stationary.build_operator(grid, cfg.beta, eps, cfg.w1, cfg.wp)
+        try:
+            op = stationary.build_operator(grid, cfg.beta, eps, cfg.w1, cfg.wp)
+        except GridTooCoarse as exc:  # a finer grid or a wider band mends it
+            raise ParameterError(f"grid_points = {cfg.grid_points} with beta = {cfg.beta}: "
+                                 f"{exc}") from None
         try:
             values, modes, iters = stationary.leading_eigenpair(op, cfg.n_modes)
         except NotConverged as exc:
+            if exc.mode is not None and exc.mode > 1:  # fewer modes mend it
+                raise ParameterError(f"n_modes = {cfg.n_modes}: at epsilon = {eps}, "
+                                     f"{exc}") from None
             print(f"stationary: epsilon={tableio.format_value(eps)}: {exc}",
                   file=sys.stderr)
             raise

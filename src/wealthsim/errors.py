@@ -53,17 +53,19 @@ class GridTooCoarse(WealthsimError, ValueError):
 
 
 class NotConverged(WealthsimError, RuntimeError):
-    """Iterative solve hit its iteration cap. Carries the last residual."""
+    """Iterative solve hit its iteration cap. Carries the last residual and,
+    from an eigensolver, the 1-based index of the mode that failed."""
 
-    def __init__(self, iterations, residual):
+    def __init__(self, iterations, residual, mode=None):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(
-            f"no convergence after {iterations} iterations (last residual {residual:.3e})"
-        )
+        self.mode = mode
+        of_mode = "" if mode is None else f" of mode {mode}"
+        super().__init__(f"no convergence{of_mode} after {iterations} iterations "
+                         f"(last residual {residual:.3e})")
 
     def __reduce__(self):
-        return type(self), (self.iterations, self.residual)
+        return type(self), (self.iterations, self.residual, self.mode)
 
 
 class NoOverlap(WealthsimError, ValueError):

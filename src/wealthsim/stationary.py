@@ -239,7 +239,7 @@ def _signed_unit(x: np.ndarray) -> np.ndarray:
 
 
 def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
-                      max_iter: int = 400000) -> Tuple[np.ndarray, List[np.ndarray], List[int]]:
+                      max_iter: int = 25000) -> Tuple[np.ndarray, List[np.ndarray], List[int]]:
     """Dominant eigenpairs by shift-invert (inverse) iteration.
 
     Each step solves ``(SHIFT*I - A) w = v`` (Golub & Van Loan, *Matrix
@@ -275,7 +275,8 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
     The leading mode is returned with unit sum, its total mass. Modes past
     the first have unit L1 norm and a positive largest-magnitude entry.
     Eigenvalues come out in descending order. Raises NotConverged (with the
-    last iterate's ``op.residual``) if an iteration hits ``max_iter``.
+    last iterate's ``op.residual`` and the mode's index) if an iteration hits
+    ``max_iter``, which covers any ratio up to 0.999 (ln 1e-10 / ln 0.999).
     """
     m = op.grid.m
     band_solve = backends.band_solver(*_shifted_band(op))
@@ -309,7 +310,7 @@ def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
                 break
             lam_prev = lam
         else:
-            raise NotConverged(max_iter, op.residual(lam, undeflate(v, lam)))
+            raise NotConverged(max_iter, op.residual(lam, undeflate(v, lam)), mode_idx + 1)
         if mode_idx == 0:
             v = v / v.sum()  # unit mass: the deflation term lam v 1^T needs 1^T v = 1
         found_vals.append(float(lam))
@@ -370,7 +371,7 @@ class StationarySolution:
 def solve_stationary(beta: float, epsilon: float, *, w1: float = ModelParams.w1,
                      wp: float = ModelParams.wp, m: int = 3600,
                      grid: Optional[LogGrid] = None,
-                     max_iter: int = 400000) -> StationarySolution:
+                     max_iter: int = 25000) -> StationarySolution:
     """Build the default-grid operator and solve for its leading mode."""
     if grid is None:
         grid = default_grid(w1, wp, m=m)

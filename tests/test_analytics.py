@@ -50,6 +50,21 @@ def test_drift_small_beta_approximation():
     assert drift_velocity(1e-4) == pytest.approx(-(1e-4) ** 2 / 6.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("beta", [0.0099, 1e-3, 1e-6, 1e-9, 1e-12, 1e-100])
+def test_drift_at_small_beta_is_its_series(beta):
+    # the closed form loses every digit to cancellation below beta ~ 1e-8;
+    # the series of E[ln(1 + u)], u ~ U[-beta, beta], is the oracle here
+    series = -sum(beta ** (2 * k) / (2 * k * (2 * k + 1)) for k in range(1, 12))
+    assert drift_velocity(beta) == pytest.approx(series, rel=1e-15, abs=0)
+    assert drift_velocity(beta) < 0.0
+
+
+def test_drift_series_meets_the_closed_form():
+    # on either side of the switch at beta = 0.01 the two agree to 1e-11
+    below = drift_velocity(0.01 * (1 - 1e-16))
+    assert below == pytest.approx(drift_velocity(0.01), rel=1e-11, abs=0)
+
+
 # --- sigma ------------------------------------------------------------------
 
 def test_sigma_values_and_scaling():

@@ -1,14 +1,20 @@
 """Config parsing, subcommand exports, exit codes, manifest discipline."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 import wealthsim
 from wealthsim import analytics, cli, engine, stationary, stats
@@ -341,6 +347,31 @@ def test_analytic_k_outside_the_envelope_domain_exits_2(tmp_path, capsys, k_list
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
 
 
+@pytest.mark.parametrize("command", ["analytic", "stationary"])
+def test_beta_zero_exits_2_naming_beta(tmp_path, capsys, command):
+    # beta = 0 leaves no diffusion envelope and no multiplier band
+    path = write_cfg(tmp_path, BASE.replace("beta = 0.06", "beta = 0.0"))
+    rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"beta must lie in (0, 1) for {command}" in err
+    assert err.rstrip().endswith("got 0.0")
+    assert not (tmp_path / "o").exists()
+    # simulate runs it as the static case
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
+
+
+def test_grid_too_coarse_for_the_band_exits_2_naming_both_keys(tmp_path, capsys):
+    # at beta = 0.06 the band spans 3 cells of a 600-point grid over 12 decades
+    path = write_cfg(tmp_path, BASE + "grid_points = 600\n")
+    rc = cli.main(["stationary", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid_points = 600 with beta = 0.06" in err
+    assert "multiplier band spans 3 cells; need >= 10" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("t_max, start, end", [
     pytest.param(30, 150, 450, id="window-after-t_max"),
     pytest.param(400, 101, 149, id="window-between-ticks"),
@@ -371,6 +402,58 @@ def test_window_holding_only_its_last_tick_runs(tmp_path):
                          "--out", str(out)]) == 0
         hist = cli.read_histogram(str(out / "window_hist_run00.csv"))
         assert hist.counts.sum() == 60  # one tick of 60 agents
+
+
+# --- every subcommand on small configs --------------------------------------
+
+
+@hyp.composite
+def small_configs(draw):
+    """The text of a small config: every mode, and every key a subcommand
+    reads drawn over ranges that run all four subcommands in about a second."""
+    mode = draw(hyp.sampled_from(Mode))
+    start = draw(hyp.integers(0, 200))
+    window = draw(hyp.sampled_from([(0, 0), (start, start + draw(hyp.integers(1, 200)))]))
+    values = {
+        "n_agents": draw(hyp.integers(1, 64)),
+        "beta": draw(hyp.floats(0.0, 0.99)),  # 0 included
+        "mode": mode.value,
+        "epsilon": draw(hyp.floats(-0.99, 0.99)) if mode is Mode.SKEWED else 0.0,
+        "t_max": draw(hyp.integers(1, 200)),
+        "seed": draw(hyp.integers(0, 2**64 - 1)),
+        "n_runs": draw(hyp.integers(1, 3)),
+        "series_stride": draw(hyp.integers(1, 250)),
+        "snapshot_count": draw(hyp.integers(1, 20)),
+        "hist_bins_per_decade": draw(hyp.integers(1, 20)),
+        "window_start": window[0],
+        "window_end": window[1],
+        "workers": draw(hyp.integers(1, 2)),
+        "k_list": draw(hyp.lists(hyp.floats(0.01, 200.0), min_size=1, max_size=4,
+                                 unique=True)),
+        "epsilon_sweep": draw(hyp.lists(hyp.floats(-0.99, 0.99), min_size=1, max_size=4,
+                                        unique=True)),
+        "grid_points": draw(hyp.integers(2, 400)),
+        "n_modes": draw(hyp.integers(1, 5)),
+    }
+    return "".join(f"{key} = {', '.join(map(repr, v)) if isinstance(v, list) else v}\n"
+                   for key, v in values.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=small_configs())
+def test_every_subcommand_runs_or_refuses_naming_a_key(text):
+    # a fresh directory per example: Hypothesis refuses tmp_path under @given
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in cli._COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([command, "--config", path, "--out", os.path.join(tmp, command)])
+            named = set(cli._CODECS) & set(re.findall(r"\w+", err.getvalue()))
+            assert rc == 0 or (rc == 2 and named), \
+                f"{command} exited {rc} on\n{text}{err.getvalue()}"
 
 
 # --- simulate ---------------------------------------------------------------
@@ -624,6 +707,20 @@ def test_stationary_not_converged_exits_3_naming_epsilon(tmp_path, capsys, monke
     assert rc == 3
     err = capsys.readouterr().err
     assert "epsilon=-0.029999999999999999" in err and "NotConverged" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_stationary_mode_past_the_first_not_converged_exits_2(tmp_path, capsys, monkeypatch):
+    # asking for fewer modes mends it, so it is a config error naming n_modes
+    def not_converged(op, n_modes):
+        raise NotConverged(5, 1e-3, mode=2)
+    monkeypatch.setattr(stationary, "leading_eigenpair", not_converged)
+    path = write_cfg(tmp_path, BASE + "epsilon_sweep = -0.03\ngrid_points = 2400\nn_modes = 2\n")
+    rc = cli.main(["stationary", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "n_modes = 2: at epsilon = -0.03" in err
+    assert "no convergence of mode 2 after 5 iterations" in err
     assert not (tmp_path / "o").exists()
 
 

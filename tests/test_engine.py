@@ -245,7 +245,7 @@ def test_degenerate_normalization_carries_run_context(monkeypatch):
 @pytest.mark.parametrize("exc, fields", [
     (NormalizationDegenerate(1e-310, 1e-300, run_id=4, t=17),
      ("total", "threshold", "run_id", "t")),
-    (NotConverged(200, 3.5e-9), ("iterations", "residual")),
+    (NotConverged(200, 3.5e-9, mode=2), ("iterations", "residual", "mode")),
 ], ids=["NormalizationDegenerate", "NotConverged"])
 def test_degenerate_normalization_survives_pickling(exc, fields):
     back = pickle.loads(pickle.dumps(exc))

@@ -316,6 +316,16 @@ def test_not_converged_carries_residual(small_grid):
         st.leading_eigenpair(op, 1, max_iter=1)
     assert ei.value.iterations == 1
     assert ei.value.residual > 0
+    assert ei.value.mode == 1
+
+
+def test_not_converged_names_the_mode_that_failed(small_grid):
+    # the leading mode converges within 10 steps, the second does not
+    op = st.build_operator(small_grid, 0.06, -0.03)
+    assert st.leading_eigenpair(op, 1, max_iter=10)[2][0] <= 10
+    with pytest.raises(NotConverged) as ei:
+        st.leading_eigenpair(op, 2, max_iter=10)
+    assert ei.value.mode == 2 and "of mode 2 after 10 iterations" in str(ei.value)
 
 
 def test_solve_stationary_medium_resolution():
