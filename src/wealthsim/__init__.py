@@ -10,46 +10,43 @@ closed-form Gaussian envelope analytics (:mod:`wealthsim.analytics`),
 distribution/inequality statistics (:mod:`wealthsim.stats`), a stationary
 eigenproblem solver (:mod:`wealthsim.stationary`), and a CSV-exporting CLI
 (:mod:`wealthsim.cli`).
+
+Each public name is imported from its submodule on first access (PEP 562),
+so ``import wealthsim.cli`` loads only what the CLI itself imports.
 """
 
-from .analytics import (GaussianEnvelope, QuantileCurve, drift_velocity,
-                        inv_erfc, log_density, peak_height, peak_time,
-                        quantile_curve, quantile_edge, sigma_t)
-from .backends import available as backend_info
-from .backends import backend_name
-from .engine import (RecordingSchedule, TrajectoryRecord, default_schedule,
-                     max_log_excess, run)
-from .errors import (DegenerateInput, DomainError, GridTooCoarse, NoOverlap,
-                     NormalizationDegenerate, NotConverged, ParameterError,
-                     ParseError, WealthsimError)
-from .model import Ensemble, initial_ensemble, step_ensemble
-from .params import Mode, ModelParams
-from .stats import (FluxMatrix, LogHistogram, bin_excess, default_ranks,
-                    flux_matrix, geometric_edges, gini, gini_pairwise,
-                    log_histogram, water_divide)
-from .stationary import (BandOperator, LogGrid, StationarySolution,
-                         build_operator, compare_to_simulation, default_grid,
-                         frame_status, leading_eigenpair, solve_stationary)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GaussianEnvelope", "QuantileCurve", "drift_velocity", "inv_erfc",
-    "log_density", "peak_height", "peak_time", "quantile_curve",
-    "quantile_edge", "sigma_t",
-    "backend_info", "backend_name",
-    "RecordingSchedule", "TrajectoryRecord", "default_schedule",
-    "max_log_excess", "run",
-    "DegenerateInput", "DomainError", "GridTooCoarse", "NoOverlap",
-    "NormalizationDegenerate", "NotConverged", "ParameterError", "ParseError",
-    "WealthsimError",
-    "Ensemble", "initial_ensemble", "step_ensemble",
-    "Mode", "ModelParams",
-    "FluxMatrix", "LogHistogram", "bin_excess", "default_ranks",
-    "flux_matrix", "geometric_edges", "gini", "gini_pairwise",
-    "log_histogram", "water_divide",
-    "BandOperator", "LogGrid", "StationarySolution", "build_operator",
-    "compare_to_simulation", "default_grid", "frame_status",
-    "leading_eigenpair", "solve_stationary",
-    "__version__",
-]
+_SUBMODULE = {name: module for module, names in (
+    ("analytics", "GaussianEnvelope QuantileCurve drift_velocity inv_erfc log_density "
+                  "peak_height peak_time quantile_curve quantile_edge sigma_t"),
+    ("backends", "backend_info backend_name"),
+    ("engine", "RecordingSchedule TrajectoryRecord default_schedule max_log_excess run"),
+    ("errors", "DegenerateInput DomainError GridTooCoarse NoOverlap NormalizationDegenerate "
+               "NotConverged ParameterError ParseError WealthsimError"),
+    ("model", "Ensemble initial_ensemble step_ensemble"),
+    ("params", "Mode ModelParams"),
+    ("stats", "FluxMatrix LogHistogram bin_excess default_ranks flux_matrix geometric_edges "
+              "gini gini_pairwise log_histogram water_divide"),
+    ("stationary", "BandOperator LogGrid StationarySolution build_operator "
+                   "compare_to_simulation default_grid frame_status leading_eigenpair "
+                   "solve_stationary"),
+) for name in names.split()}
+_RENAMED = {"backend_info": "available"}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SUBMODULE[name]}", __name__)
+    # bound here, so that later lookups of the name skip this function
+    value = globals()[name] = getattr(module, _RENAMED.get(name, name))
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

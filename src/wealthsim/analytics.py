@@ -25,14 +25,11 @@ numerically maximizing the exact curve).
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-_NORMAL = statistics.NormalDist()
 
 
 def drift_velocity(beta: float) -> float:
@@ -65,9 +62,10 @@ def inv_erfc(y: float) -> float:
         return 0.0
     if y > 1.0:
         return -inv_erfc(2.0 - y)  # erfc(-x) = 2 - erfc(x)
+    from statistics import NormalDist
     # the smallest subnormal y halves to 0, which inv_cdf rejects
     p = max(y / 2.0, math.ulp(0.0))
-    return -_NORMAL.inv_cdf(p) / math.sqrt(2.0)
+    return -NormalDist().inv_cdf(p) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ digest covers the compile command and the CPU's identity (the first ``flags``
 line of ``/proc/cpuinfo``), so a shared cache never hands one CPU a library
 built for another. Each new build removes the cached libraries of other
 sources, and keeps those of its own source for other CPUs and commands.
-``ctypes`` loads it and releases the GIL for each call. If the native build or
-load fails, the kernel is built once more without those two flags;
+``ctypes`` loads it and releases the GIL for each call; ``subprocess`` and
+``tempfile`` are imported only on a cache miss, to build. If the native build
+or load fails, the kernel is built once more without those two flags;
 ``compile_command`` holds the command that built the loaded library. Without a
 compiler, or if that retry fails too, a warning names the cause and the numpy
 kernel of ``_kernels_py`` runs instead (``compile_command`` is then ``None``).
@@ -28,8 +29,6 @@ import contextlib
 import ctypes
 import hashlib
 import os
-import subprocess
-import tempfile
 import warnings
 
 import numpy as np
@@ -109,12 +108,15 @@ def _build(cmd) -> str:
     lib = _library_path(cmd, _cpu_identity())
     if os.path.exists(lib):
         return lib
+    import subprocess
+    import tempfile
     os.makedirs(_CACHE, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix="_kernel.", suffix=".so.tmp", dir=_CACHE)
     os.close(fd)
     try:
-        subprocess.run([*cmd, "-o", tmp, _SOURCE], check=True,
-                       capture_output=True, text=True)
+        done = subprocess.run([*cmd, "-o", tmp, _SOURCE], capture_output=True, text=True)
+        if done.returncode:
+            raise OSError(f"{cmd[0]} exited with {done.returncode}: {done.stderr}")
         os.replace(tmp, lib)  # atomic: concurrent importers never see half a file
     finally:
         if os.path.exists(tmp):
@@ -226,10 +228,9 @@ def _select():
     for cmd in ([_CC, *_NATIVE, *_CFLAGS], [_CC, *_CFLAGS]):
         try:
             return ("c", *_load(cmd))
-        except (OSError, subprocess.CalledProcessError) as exc:
+        except OSError as exc:
             failure = exc
-    cause = getattr(failure, "stderr", None) or failure
-    warnings.warn(f"C kernel unavailable, using the numpy kernel: {cause}",
+    warnings.warn(f"C kernel unavailable, using the numpy kernel: {failure}",
                   RuntimeWarning, stacklevel=2)
     return "python", _kernels_py.advance, _kernels_py.write_rows, _kernels_py.band_solver
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analytics, engine, stats, stationary, tableio
+from . import engine, stats, tableio
 from .errors import GridTooCoarse, NotConverged, ParameterError, ParseError, WealthsimError
 from .params import Mode, ModelParams
 
@@ -444,12 +444,14 @@ def _rank1_negative_fraction(fm: stats.FluxMatrix) -> float:
 def _require_spread(cfg: ExperimentConfig, command: str) -> None:
     """Refuse beta = 0 (simulate's static case), or so small that its drift
     underflows: no diffusion envelope for analytic, no band for stationary."""
+    from . import analytics
     if not analytics.drift_velocity(cfg.beta) < 0.0:
         raise ParameterError(f"beta must lie in (0, 1) for {command}, with a drift "
                              f"-beta^2/6 that does not underflow to 0, got {cfg.beta}")
 
 
 def cmd_analytic(cfg: ExperimentConfig, out_dir: str) -> int:
+    from . import analytics
     _require_spread(cfg, "analytic")
     # the k-exceedance edge needs k / n_agents inside inv_erfc's domain (0, 2)
     beyond = [k for k in cfg.k_list if k / cfg.n_agents >= 2.0]
@@ -482,6 +484,7 @@ def cmd_analytic(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_stationary(cfg: ExperimentConfig, out_dir: str) -> int:
+    from . import stationary
     _require_spread(cfg, "stationary")
     ex = _Exporter(cfg, out_dir)
     hist = read_histogram(cfg.compare_histogram) if cfg.compare_histogram else None

@@ -26,9 +26,7 @@ is in use.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -126,7 +124,8 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
     cores)`` forked processes (serially where fork does not exist) and
     returns the records in run order, identical to the serial ones by
     construction; a worker that dies raises ``BrokenProcessPool``. Starting
-    the pool costs some tens of milliseconds.
+    the pool costs some tens of milliseconds; the first pool in a process
+    also pays the import of ``multiprocessing``, which serial runs skip.
     """
     if schedule is None:
         schedule = default_schedule(params.t_max)
@@ -143,7 +142,9 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     procs = min(workers, params.n_runs, cores)
-    if procs > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if procs > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
             return list(pool.map(single, range(params.n_runs)))
     return [single(r) for r in range(params.n_runs)]

@@ -216,6 +216,21 @@ def test_missing_compiler_falls_back_to_numpy_loudly(monkeypatch):
                         _kernels_py.band_solver)
 
 
+def test_failing_compile_falls_back_to_numpy_with_the_compiler_message(tmp_path,
+                                                                        monkeypatch):
+    # a stand-in compiler that prints to stderr and exits 1, on both builds
+    cc = tmp_path / "cc"
+    cc.write_text(f"#!{sys.executable}\nimport sys\nsys.exit('wealthsim-test: no kernel today')\n")
+    cc.chmod(0o755)
+    monkeypatch.setattr(backends, "_CC", str(cc))
+    monkeypatch.setattr(backends, "_CACHE", str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="numpy kernel.*wealthsim-test: no kernel today"):
+        selected = backends._select()
+    assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows,
+                        _kernels_py.band_solver)
+    assert sorted(os.listdir(tmp_path)) == ["cc"]  # no library, no temporary left
+
+
 def test_compile_command_names_the_loaded_build():
     if backends.backend_name == "c":
         assert backends.compile_command == backends.advance.compile_command

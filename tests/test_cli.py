@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 import wealthsim
-from wealthsim import analytics, cli, engine, stationary, stats
+from wealthsim import analytics, backends, cli, engine, stationary, stats
 from wealthsim.errors import NotConverged, ParameterError, ParseError
 from wealthsim.params import Mode, ModelParams
 from wealthsim.tableio import read_table
@@ -756,6 +756,27 @@ def test_stationary_solve_does_not_import_scipy(tmp_path):
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_start_up_imports_only_what_the_invocation_uses(tmp_path):
+    # the process pool, the compiler driver, statistics and the stationary and
+    # analytic modules load when a subcommand needs them; a serial simulate
+    # never starts a pool
+    deferred = ["multiprocessing", "concurrent.futures", "statistics",
+                "wealthsim.stationary", "wealthsim.analytics"]
+    if backends.compile_command == (backends._CC, *backends._NATIVE, *backends._CFLAGS):
+        deferred.append("subprocess")  # the first build's library is cached
+    path = write_cfg(tmp_path, BASE + "workers = 1\n")
+    code = ("import sys, wealthsim.cli\n"
+            f"print([m for m in {deferred!r} if m in sys.modules])\n"
+            f"assert wealthsim.cli.main(['simulate', '--config', {path!r}, "
+            f"'--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+            "print('multiprocessing' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "False")
 
 
 def test_flux_export_does_not_depend_on_blas_threads(tmp_path):

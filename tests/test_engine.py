@@ -1,5 +1,6 @@
 """Driver-level behavior: scheduling, recording, determinism, error context."""
 
+import concurrent.futures
 import importlib
 import os
 import pickle
@@ -61,13 +62,14 @@ def test_process_pool_is_capped_at_the_usable_cores(monkeypatch, kernel):
     serial = run(params, sched, workers=1)
     pools = []
 
-    class RecordingPool(engine.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, mp_context):
             pools.append(max_workers)
             super().__init__(max_workers, mp_context=mp_context)
 
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    # engine.run imports the executor when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     wide = run(params, sched, workers=64)
     assert pools == [2]
     for a, b in zip(serial, wide, strict=True):

@@ -1,6 +1,9 @@
 """Reference single-step dynamics: floor, conservation, draw statistics."""
 
+import importlib
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +35,32 @@ def step(wealth, u, mode="free", **overrides):
 
 
 def test_every_public_name_resolves():
+    # each name is the object of the submodules that hold it
+    modules = [importlib.import_module(f"wealthsim.{m}") for m in (
+        "analytics", "backends", "engine", "errors", "model", "params", "stats",
+        "stationary")]
+    renamed = {"backend_info": "available"}
     for name in wealthsim.__all__:
         assert hasattr(wealthsim, name), name
+        if name != "__version__":
+            attr = renamed.get(name, name)
+            owners = [getattr(m, attr) for m in modules if hasattr(m, attr)]
+            assert owners and all(getattr(wealthsim, name) is o for o in owners), name
+    assert wealthsim.run is wealthsim.engine.run
+
+
+def test_star_import_and_dir_cover_every_public_name():
+    namespace = {}
+    exec("from wealthsim import *", namespace)
+    assert set(wealthsim.__all__) <= set(namespace)
+    assert set(wealthsim.__all__) <= set(dir(wealthsim))
+    # setuptools reads the version statically: it stays a literal
+    assert re.search(r'^__version__ = "[0-9.]+"$', inspect.getsource(wealthsim), re.M)
+
+
+def test_unknown_public_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wealthsim.no_such_name
 
 
 # --- status map -------------------------------------------------------------
