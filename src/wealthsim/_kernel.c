@@ -22,9 +22,15 @@
  * tableio.format_value defines, cell for cell. A float's 17 significant
  * digits come from its exact value m * 2^e in integer arithmetic, rounded
  * half to even as Python's '%.17g' rounds them (the exact-integer approach
- * of float printers such as Adams, "Ryu: fast float-to-string conversion",
- * PLDI 2018): unsigned __int128 covers 2^-19 <= |v| < 1e16, and 64-bit
- * limbs cover the rest. No printf: its decimal point follows LC_NUMERIC.
+ * of Adams, "Ryu: fast float-to-string conversion", PLDI 2018, and "Ryu
+ * revisited", OOPSLA 2019). Over 2^-19 <= |v| < 2^54, where the data lies,
+ * one comparison with a power of ten fixes the decimal exponent first, so a
+ * single unsigned __int128 product holds exactly the 17 digits and, in its
+ * low 64 bits, what decides their rounding; 64-bit limbs cover the rest.
+ * The digits go out as a first digit and two 8-digit words, each converted
+ * in parallel byte lanes, and whole-word stores lay out the text. No store
+ * reaches past cell_bytes from its cell's start, so n cells always fit in
+ * n * cell_bytes bytes. No printf: its decimal point follows LC_NUMERIC.
  *
  * band_lu and band_solve factor and solve an m x m band matrix with p
  * sub- and q super-diagonals (Golub & Van Loan, Matrix Computations,
@@ -138,8 +144,10 @@ int64_t advance(double *excess, int64_t n, uint64_t key, uint64_t run,
 
 typedef unsigned __int128 u128;
 
-/* The longest cell format_rows writes, with its separator:
- * "-2.2250738585072014e-308," (an int64 takes at most 21). */
+/* The most bytes one cell of format_rows writes, its separator included:
+ * the longest cell is "-2.2250738585072014e-308," (an int64 takes at most
+ * 21), and the furthest 8-byte store of put_double, the last digit word of
+ * "-0.000ddddddddddddddddd", ends at the cell's 23rd byte. */
 const int64_t cell_bytes = 25;
 
 static const uint64_t POW10[20] = {
@@ -150,10 +158,22 @@ static const uint64_t POW10[20] = {
     100000000000000000ull, 1000000000000000000ull,
     10000000000000000000ull,
 };
-static const char DIGIT_PAIRS[] =
-    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
-    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
-    "8081828384858687888990919293949596979899";
+/* 5^j: 10^j is 5^j * 2^j */
+static const uint64_t POW5[23] = {
+    1ull, 5ull, 25ull, 125ull, 625ull,
+    3125ull, 15625ull, 78125ull, 390625ull, 1953125ull,
+    9765625ull, 48828125ull, 244140625ull, 1220703125ull, 6103515625ull,
+    30517578125ull, 152587890625ull, 762939453125ull, 3814697265625ull,
+    19073486328125ull, 95367431640625ull, 476837158203125ull,
+    2384185791015625ull,
+};
+/* DECADE[i] is the least double >= 10^(i - 5): 1e0 to 1e16 are exact, and
+ * the literals 1e-5 to 1e-1 each round up, so v >= DECADE[i] exactly when
+ * v >= 10^(i - 5). */
+static const double DECADE[22] = {
+    1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7,
+    1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+};
 
 #define TEN16 POW10[16]
 #define TEN17 POW10[17]
@@ -161,24 +181,11 @@ static const char DIGIT_PAIRS[] =
 /* What a truncated quotient dropped, against half a unit of its last digit. */
 enum { EXACT, BELOW_HALF, HALF, ABOVE_HALF };
 
-static int classify(u128 rest, u128 half)
-{
-    return rest == 0 ? EXACT : rest < half ? BELOW_HALF
-         : rest == half ? HALF : ABOVE_HALF;
-}
-
 /* floor(m * 10^j / 2^s) for m < 2^53, j >= 1, s >= 1; *rest classifies the
- * bits shifted out. */
+ * bits shifted out. m * 10^j < 2^1187 in 64-bit limbs, least significant
+ * first. */
 static uint64_t scale_up(uint64_t m, int j, int s, int *rest)
 {
-    if (j <= 22) { /* then |v| >= 2^-19, so s <= 71, and m * 10^j < 2^127 */
-        u128 n = (u128)m * POW10[j < 19 ? j : 19];
-        if (j > 19)
-            n *= POW10[j - 19];
-        *rest = classify(n & (((u128)1 << s) - 1), (u128)1 << (s - 1));
-        return (uint64_t)(n >> s);
-    }
-    /* m * 10^j < 2^1187 in 64-bit limbs, least significant first */
     uint64_t n[20] = {m};
     int len = 1;
     for (int left = j; left > 0; left -= 19) {
@@ -241,14 +248,29 @@ static uint64_t digits17(uint64_t bits, int *exp10)
         m |= 1ull << 52;
     /* floor(log10 v) is x or x + 1 for x = floor(floor(log2 v) * log10 2),
      * which 78913 / 2^18 gives exactly over the whole double range */
-    int x = ((63 - __builtin_clzll(m) + e) * 78913) >> 18, rest = EXACT;
-    uint64_t q;
-    if (x >= 16)
-        q = scale_down(m, e, x - 16, &rest);
-    else if (e >= 0) /* an integer below 2^54, so x is 15 */
-        q = (m << e) * POW10[16 - x];
-    else
-        q = scale_up(m, 16 - x, -e, &rest);
+    int x = ((63 - __builtin_clzll(m) + e) * 78913) >> 18, rest;
+    if (x >= -6 && x < 16) {
+        /* 2^-19 <= v < 2^54. One comparison fixes the decade first, so the
+         * product below has 17 digits before it is rounded. */
+        double v;
+        memcpy(&v, &bits, sizeof v);
+        x += v >= DECADE[x + 6];
+        *exp10 = x;
+        int j = 16 - x;
+        if (e >= 0) /* an integer below 2^54: x is 15 or 16 */
+            return (m << e) * POW10[j];
+        /* v * 10^j = m * 5^j / 2^u, with u = -e - j in [0, 49] here, so the
+         * remainder r fits in 64 bits; 2r + (q & 1) > 2^u rounds up exactly
+         * when r is above half, or half with q odd. That never carries into
+         * an 18th digit, which needs v within 5e-18 of 10^(x + 1), relatively:
+         * the doubles below it lie at least half an ulp, over 5e-17, below. */
+        int u = -e - j;
+        u128 n = (u128)m * POW5[j];
+        uint64_t q = (uint64_t)(n >> u), r = (uint64_t)n & ((1ull << u) - 1);
+        return q + (2 * r + (q & 1) > 1ull << u);
+    }
+    uint64_t q = x >= 16 ? scale_down(m, e, x - 16, &rest)
+                         : scale_up(m, 16 - x, -e, &rest);
     if (q >= TEN17) { /* 18 digits: floor(log10 v) is x + 1 */
         int d = (int)(q % 10);
         q /= 10;
@@ -265,14 +287,57 @@ static uint64_t digits17(uint64_t bits, int *exp10)
     return q;
 }
 
+/* The 8 decimal digits of q < 10^8 as byte values, the first in the lowest
+ * byte: q splits into 4-digit halves, then pairs, then digits, each step
+ * one multiply-and-shift across all of its lanes (SWAR). A step leaves each
+ * lane's quotient hi in its low half and the remainder in its high half as
+ * (w << width) + hi * (1 - (divisor << width)), which equals
+ * ((w - divisor * hi) << width) + hi with the shift off the critical path. */
+static inline uint64_t digits8(uint32_t q)
+{
+    uint64_t hi = q / 10000;
+    uint64_t w = ((uint64_t)q << 32) + hi * (1 - (10000ull << 32));
+    hi = (w * 10486 >> 20) & 0x0000007f0000007full; /* lane / 100 */
+    w = (w << 16) + hi * (1 - (100ull << 16));
+    hi = (w * 103 >> 10) & 0x000f000f000f000full;   /* lane / 10 */
+    return (w << 8) + hi * (1 - (10ull << 8));
+}
+
+/* How many of the digits in w, as digits8 lays them out, are trailing zeros. */
+static inline int zero_tail(uint64_t w)
+{
+    return w ? __builtin_clzll(w) / 8 : 8;
+}
+
+/* w with '.' put in before its byte i < 8, and its last byte pushed out. */
+static inline uint64_t with_point(uint64_t w, int i)
+{
+    uint64_t low = (1ull << 8 * i) - 1;
+    return (w & low) | (uint64_t)'.' << 8 * i | (w & ~low) << 8;
+}
+
+/* Store the 8 bytes of w at p, its lowest byte first. */
+static inline void put8(char *p, uint64_t w)
+{
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    memcpy(p, &w, sizeof w);
+}
+
 static char *put(char *p, const char *s, size_t n)
 {
     memcpy(p, s, n);
     return p + n;
 }
 
+#define ASCII_ZEROS 0x3030303030303030ull /* "00000000" */
+#define ZERO_POINT 0x3030303030302e30ull  /* "0.000000" */
+
 /* A float64 cell as format_value writes it: '%.17g', then '.0' if that
- * printed a bare integer. */
+ * printed a bare integer. The 17 digits go out as a first digit and two
+ * 8-digit words in whole-word stores, which may run past the text: the
+ * returned end leaves those bytes to the separator and the next cell. */
 static char *put_double(char *p, double v)
 {
     uint64_t bits;
@@ -288,19 +353,18 @@ static char *put_double(char *p, double v)
         return put(p, "0.0", 3);
     int x;
     uint64_t q = digits17(mag, &x);
-    char d[17];
-    for (int i = 15; i > 0; i -= 2, q /= 100)
-        memcpy(d + i, DIGIT_PAIRS + 2 * (q % 100), 2);
-    d[0] = (char)('0' + q);
-    int nd = 17; /* significant digits left after dropping trailing zeros */
-    while (d[nd - 1] == '0')
-        nd--;
+    uint32_t head = (uint32_t)(q / 100000000); /* the first 9 digits */
+    char first = (char)('0' + head / 100000000);
+    uint64_t a = digits8(head % 100000000), b = digits8((uint32_t)(q % 100000000));
+    int nd = 17 - (b ? zero_tail(b) : 8 + zero_tail(a)); /* significant digits */
+    a += ASCII_ZEROS;
+    b += ASCII_ZEROS;
     if (x < -4 || x >= 17) {
-        *p++ = d[0];
-        if (nd > 1) {
-            *p++ = '.';
-            p = put(p, d + 1, (size_t)(nd - 1));
-        }
+        p[0] = first;
+        p[1] = '.';
+        put8(p + 2, a);
+        put8(p + 10, b);
+        p += nd > 1 ? nd + 1 : 1;
         *p++ = 'e';
         *p++ = x < 0 ? '-' : '+';
         int ax = x < 0 ? -x : x;
@@ -308,18 +372,32 @@ static char *put_double(char *p, double v)
             *p++ = (char)('0' + ax / 100);
         *p++ = (char)('0' + ax / 10 % 10);
         *p++ = (char)('0' + ax % 10);
-    } else if (x < 0) {
-        p = put(p, "0.0000", (size_t)(1 - x));
-        p = put(p, d, (size_t)nd);
-    } else {
-        p = put(p, d, (size_t)(x + 1));
-        *p++ = '.';
-        if (nd > x + 1)
-            p = put(p, d + x + 1, (size_t)(nd - x - 1));
-        else
-            *p++ = '0';
+        return p;
     }
-    return p;
+    if (x < 0) { /* "0." and up to 3 zeros before the digits */
+        put8(p, ZERO_POINT);
+        p[1 - x] = first;
+        put8(p + 2 - x, a);
+        put8(p + 10 - x, b);
+        return p + 1 - x + nd;
+    }
+    /* x + 1 digits, '.', the rest: at least one digit, a '0' if nothing is
+     * left, which is then the digit the point pushed along */
+    p[0] = first;
+    if (x < 8) {
+        put8(p + 1, with_point(a, x));
+        p[9] = (char)(a >> 56);
+        put8(p + 10, b);
+    } else if (x < 16) {
+        put8(p + 1, a);
+        put8(p + 9, with_point(b, x - 8));
+        p[17] = (char)(b >> 56);
+    } else { /* x is 16: an integer */
+        put8(p + 1, a);
+        put8(p + 9, b);
+        return put(p + 17, ".0", 2);
+    }
+    return p + 1 + (nd > x + 1 ? nd : x + 2);
 }
 
 static char *put_int(char *p, int64_t v)
@@ -343,7 +421,10 @@ static char *put_int(char *p, int64_t v)
 /* Write rows [row0, row0 + n_rows) of n_columns >= 1 columns as CSV lines
  * into out, which holds at least n_rows * n_columns * cell_bytes bytes.
  * columns[c] points at doubles if is_float[c], else at int64 values.
- * Returns the number of bytes written. */
+ * A cell writes only inside the cell_bytes that follow its first byte, so
+ * the last cell stays inside out however long the cells before it were;
+ * what a cell stores past its own text the next cell, its separator or the
+ * returned length covers. Returns the number of bytes written. */
 int64_t format_rows(const void *const *columns, const char *is_float,
                     int64_t n_columns, int64_t row0, int64_t n_rows, char *out)
 {

@@ -12,8 +12,9 @@ sources, and keeps those of its own source for other CPUs and commands.
 ``tempfile`` are imported only on a cache miss, to build. If the native build
 or load fails, the kernel is built once more without those two flags;
 ``compile_command`` holds the command that built the loaded library. Without a
-compiler, or if that retry fails too, a warning names the cause and the numpy
-kernel of ``_kernels_py`` runs instead (``compile_command`` is then ``None``).
+compiler on ``PATH`` (then no build is tried), or if that retry fails too, a
+warning names the cause and the numpy kernel of ``_kernels_py`` runs instead
+(``compile_command`` is then ``None``).
 
 Either backend also writes CSV rows: ``write_rows`` writes int64 and float64
 columns as the text ``_kernels_py.format_value`` defines, through the same
@@ -29,6 +30,7 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -108,6 +110,8 @@ def _build(cmd) -> str:
     lib = _library_path(cmd, _cpu_identity())
     if os.path.exists(lib):
         return lib
+    if shutil.which(cmd[0]) is None:  # no temporary file, no spawn that must fail
+        raise OSError(f"no C compiler {cmd[0]!r} on PATH")
     import subprocess
     import tempfile
     os.makedirs(_CACHE, exist_ok=True)

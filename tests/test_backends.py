@@ -6,18 +6,22 @@ accumulate in different orders (16 compensated lanes vs numpy pairwise), so
 those trajectories agree to float roundoff rather than exactly.
 """
 
+import ctypes
 import io
 import os
 import shutil
+import subprocess
 import sys
 import types
 
 import numpy as np
 import pytest
+from test_tableio import FORMATTER_CASES, INT64, c_cells
 
 from wealthsim import _kernels_py, backends
 from wealthsim.errors import NormalizationDegenerate
 from wealthsim.rng import MAX_DAYS, MAX_RUNS, stream_key
+from wealthsim.tableio import format_value
 
 needs_both = pytest.mark.skipif(
     "c" not in backends.available(),
@@ -208,12 +212,19 @@ def test_selected_backend_is_reported():
     assert callable(backends.advance)
 
 
-def test_missing_compiler_falls_back_to_numpy_loudly(monkeypatch):
+def test_missing_compiler_falls_back_to_numpy_loudly(tmp_path, monkeypatch):
+    # with no compiler on PATH no build is tried: no spawn, no temporary file
+    def spawn(*args, **kwargs):
+        raise AssertionError(f"a build was tried: {args}")
+
+    monkeypatch.setattr(subprocess, "run", spawn)
     monkeypatch.setattr(backends, "_CC", "wealthsim-no-such-compiler")
-    with pytest.warns(RuntimeWarning, match="numpy kernel"):
+    monkeypatch.setattr(backends, "_CACHE", str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="numpy kernel.*wealthsim-no-such-compiler"):
         selected = backends._select()
     assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows,
                         _kernels_py.band_solver)
+    assert os.listdir(tmp_path) == []
 
 
 def test_failing_compile_falls_back_to_numpy_with_the_compiler_message(tmp_path,
@@ -280,6 +291,10 @@ def test_unsupported_native_flag_falls_back_to_a_portable_build(monkeypatch):
     a = _advance("python", np.full(N, 600.0))
     b = _advance("c", np.full(N, 600.0))
     np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(backends, "write_rows", write_rows)
+    for case, column in FORMATTER_CASES.items():
+        wrong = [(v, got) for v, got in zip(column, c_cells(column)) if got != format_value(v)]
+        assert not wrong[:5], case
 
 
 @pytest.mark.skipif(backends.backend_name != "c", reason="C library not built")
@@ -297,6 +312,95 @@ def test_format_rows_refuses_arguments_that_would_overrun(columns, rows):
     with pytest.raises(ValueError):
         backends.write_rows(fh, columns, rows)
     assert fh.getvalue() == b""
+
+
+# A cell of every layout format_rows writes, each at its longest: negative,
+# with 17 significant digits, from exponent form at 1e-6 through '0.000' and
+# fixed notation at every decade to exponent form at 1e17, then three-digit
+# exponents, nan, infinities and the longest int64.
+WIDEST = -2.2250738585072014e-308  # 25 bytes with its ','
+CELL_LAYOUTS = [*(float(f"-1.2345678901234567e{k}") for k in range(-6, 18)),
+                -1.2345678901234567e+300, WIDEST, np.nan, np.inf, -np.inf, INT64.min]
+
+
+def _format_rows():
+    """The loaded library's format_rows, declared as backends._writer
+    declares it, and its cell_bytes."""
+    lib = ctypes.CDLL(backends._build(backends.compile_command))
+    fn = lib.format_rows
+    fn.argtypes = backends._FORMAT_ARGTYPES
+    fn.restype = ctypes.c_int64
+    return fn, ctypes.c_int64.in_dll(lib, "cell_bytes").value
+
+
+@pytest.mark.skipif(backends.backend_name != "c", reason="C library not built")
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("cell", CELL_LAYOUTS, ids=repr)
+def test_format_rows_writes_only_inside_its_buffer(rows, cell):
+    # Every cell before the last is 25 bytes long, so the last one starts as
+    # late as it can in a buffer of exactly rows * columns * cell_bytes; the
+    # 64 guard bytes after it must not change.
+    fn, cell_bytes = _format_rows()
+    last = np.full(rows, cell, dtype=np.int64 if isinstance(cell, int) else np.float64)
+    if last.dtype == np.float64:
+        last[:-1] = WIDEST
+    columns = [np.full(rows, WIDEST), last]
+    size = rows * len(columns) * cell_bytes
+    buf = np.full(size + 64, 0xAA, dtype=np.uint8)
+    pointers = (ctypes.c_void_p * 2)(*(c.ctypes.data for c in columns))
+    written = fn(pointers, bytes(c.dtype.kind == "f" for c in columns), 2, 0, rows, buf)
+    assert (buf[size:] == 0xAA).all()
+    assert buf[:written].tobytes().decode("ascii") == "".join(
+        f"{format_value(WIDEST)},{format_value(v)}\n" for v in last)
+
+
+# Each cell is formatted alone into a malloc'd block of exactly cell_bytes,
+# so that AddressSanitizer sees any store past its cell.
+_CELL_BY_CELL = """
+import ctypes, sys
+import numpy as np
+lib, libc = ctypes.CDLL(sys.argv[1]), ctypes.CDLL(None)
+libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, (ctypes.c_size_t,)
+libc.free.argtypes = (ctypes.c_void_p,)
+fn = lib.format_rows
+fn.restype = ctypes.c_int64
+fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), ctypes.c_char_p, ctypes.c_int64,
+               ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+size = ctypes.c_int64.in_dll(lib, "cell_bytes").value
+for path in sys.argv[2:]:
+    column = np.load(path)
+    pointer = (ctypes.c_void_p * 1)(column.ctypes.data)
+    is_float = bytes([column.dtype.kind == "f"])
+    for i in range(column.size):
+        cell = libc.malloc(size)
+        sys.stdout.buffer.write(ctypes.string_at(cell, fn(pointer, is_float, 1, i, 1, cell)))
+        libc.free(cell)
+"""
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+
+@pytest.mark.skipif(shutil.which(backends._CC) is None, reason="no C compiler")
+def test_formatter_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path):
+    libasan = subprocess.run([backends._CC, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):  # a bare name: the compiler has none
+        pytest.skip("the compiler has no libasan")
+    lib = tmp_path / "_kernel_sanitized.so"
+    cmd = backends.compile_command or (backends._CC, *backends._CFLAGS)
+    subprocess.run([*cmd, *SANITIZE, "-o", str(lib), backends._SOURCE], check=True)
+    paths = []
+    for case, column in FORMATTER_CASES.items():
+        paths.append(str(tmp_path / f"{case}.npy"))
+        np.save(paths[-1], column)
+    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+    done = subprocess.run([sys.executable, "-c", _CELL_BY_CELL, str(lib), *paths],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")[-4000:]
+    cells = done.stdout.decode("ascii").split("\n")[:-1]
+    values = [v for column in FORMATTER_CASES.values() for v in column]
+    assert len(cells) == len(values)
+    wrong = [(v, got) for v, got in zip(values, cells) if got != format_value(v)]
+    assert not wrong[:5]
 
 
 def _band(m=6, p=1, q=1, **kwargs):

@@ -241,17 +241,46 @@ def neighbours(values):
         return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
 
 
-# The compiled formatter takes 17 digits from the exact value m * 2^e:
-# unsigned __int128 serves 2^-19 <= |v| < 1e16, 64-bit limbs the rest;
-# 2^53, 1e16 and 1e17 are where the decimal scale turns from up to down
+def ties_at_the_17th_digit(rng, per_scale=400):
+    """Doubles n * 2^-s, n odd, whose exact value n * 5^s / 10^s has 18
+    significant digits, the last a 5: halfway between two 17-digit decimals,
+    for s = 2..25, from 1e15 down to 1e-8."""
+    ties = []
+    for s in range(2, 26):
+        low = -(-10**17 // 5**s)
+        high = min((10**18 - 1) // 5**s, 2**53 - 1)
+        n = rng.integers(low // 2, (high - 1) // 2, size=per_scale, endpoint=True) * 2 + 1
+        ties.append(np.ldexp(n.astype(np.float64), -s))
+    return np.concatenate(ties)
+
+
+# The compiled formatter takes 17 digits from the exact value m * 2^e. For
+# 2^-19 <= |v| < 2^54 it first fixes the decade by comparing v with the
+# power of ten at its top, then rounds one unsigned __int128 product;
+# 64-bit limbs serve the rest ("path-edges" holds where the paths and the
+# notations meet). Random bit patterns seldom land in [1, 1e16), where the
+# data lives, so strata cover it: log-uniform and lognormal ("wealth")
+# values, exact ties at the 17th digit, and the next double either side of
+# every decade boundary that comparison selects.
+_STRATA = np.random.default_rng(20261020)
+
+
+def either_sign(values):
+    return values * _STRATA.choice([-1.0, 1.0], size=values.size)
+
+
 FORMATTER_CASES = {
     "random-bit-patterns": np.random.default_rng(20261018).integers(
         0, 2**64, size=10**5, dtype=np.uint64).view(np.float64),
+    "log-uniform": either_sign(10.0 ** _STRATA.uniform(-6, 17, size=20_000)),
+    "wealth": _STRATA.lognormal(np.log(3000.0), 1.2, size=10_000),
+    "ties": np.concatenate([[1000000000000000.25, 4503599627370497.5, 0.5, 2.5],
+                            either_sign(ties_at_the_17th_digit(_STRATA))]),
+    "decade-edges": neighbours([2.0**52, *(float(f"1e{k}") for k in range(-5, 17))]),
     "powers-of-ten": neighbours([float(f"1e{k}") for k in range(-320, 309)]),
     "path-edges": neighbours([2.0**-20, 2.0**-19, 1e-6, 2.0**126, 2.0**127,
                               2.0**53, 2.0**54, 1e16, 1e17, 5e-324,
                               2.2250738585072014e-308, 1.7976931348623157e308]),
-    "ties": np.array([1000000000000000.25, 4503599627370497.5, 0.5, 2.5]),
     # doubles below a power of ten whose 17 digits round up to it
     "new-decade": np.array([1e-14, 1e-73, 1e-305]),
     "specials": np.array([-0.0, 0.0, np.copysign(np.nan, -1), np.nan, np.inf, -np.inf]),
