@@ -53,8 +53,8 @@ class ExperimentConfig(ModelParams):
     """
 
     # recording schedule
-    series_stride: int = 30
-    snapshot_count: int = 75
+    series_stride: int = engine.RecordingSchedule.series_stride
+    snapshot_count: int = engine.SNAPSHOT_COUNT
     hist_bins_per_decade: int = 10
     window_start: int = 0
     window_end: int = 0
@@ -117,10 +117,11 @@ class ExperimentConfig(ModelParams):
         return stats.geometric_edges(exc0 * 1e-8, exc0 * 1e8,
                                      n_decades * self.hist_bins_per_decade)
 
-    def schedule(self, with_histograms: bool = False) -> engine.RecordingSchedule:
+    def schedule(self) -> engine.RecordingSchedule:
+        """simulate's recording: the window, if set, and snapshots if exported."""
         window = None
         edges = None
-        if with_histograms and (self.window_start, self.window_end) != (0, 0):
+        if (self.window_start, self.window_end) != (0, 0):
             window = (self.window_start, self.window_end)
             # the first stride tick at or after window_start
             tick = -(-self.window_start // self.series_stride) * self.series_stride
@@ -131,10 +132,10 @@ class ExperimentConfig(ModelParams):
                     f"series_stride = {self.series_stride}) in [0, t_max = "
                     f"{self.t_max}]")
             edges = self.histogram_edges()
-        return engine.default_schedule(self.t_max, n_snapshots=self.snapshot_count,
-                                       series_stride=self.series_stride,
-                                       histogram_edges=edges,
-                                       histogram_window=window)
+        exported = self.export_snapshots or self.export_histograms
+        return engine.default_schedule(
+            self.t_max, n_snapshots=self.snapshot_count if exported else 0,
+            series_stride=self.series_stride, histogram_edges=edges, histogram_window=window)
 
     def to_text(self) -> str:
         """Lossless file representation (parse_config inverts it).
@@ -351,14 +352,9 @@ def read_histogram(path: str) -> stats.LogHistogram:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _run_records(cfg: ExperimentConfig, with_histograms: bool) -> List[engine.TrajectoryRecord]:
-    return engine.run(cfg, cfg.schedule(with_histograms=with_histograms),
-                      workers=cfg.workers)
-
-
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     ex = _Exporter(cfg, out_dir)
-    records = _run_records(cfg, with_histograms=True)
+    records = engine.run(cfg, cfg.schedule(), workers=cfg.workers)
     edges = cfg.histogram_edges()
     lo, hi = _bin_bounds(edges)
     for rec in records:
@@ -416,7 +412,9 @@ def _export_flux(ex: _Exporter, rec: engine.TrajectoryRecord) -> Optional[stats.
 
 def cmd_correlate(cfg: ExperimentConfig, out_dir: str) -> int:
     ex = _Exporter(cfg, out_dir)
-    records = _run_records(cfg, with_histograms=False)
+    # the flux matrices read only the rank series: stop at stride ticks alone
+    stride_ticks = engine.RecordingSchedule(snapshot_times=(), series_stride=cfg.series_stride)
+    records = engine.run(cfg, stride_ticks, workers=cfg.workers)
     runs, divides, neg_fracs = [], [], []
     for rec in records:
         fm = _export_flux(ex, rec)
@@ -573,7 +571,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = dataclasses.replace(parse_config(text), **overrides)
         out_dir = args.out if args.out is not None else cfg.out_dir
         n_files = _COMMANDS[args.command][0](cfg, out_dir)
-    except (ParseError, ParameterError) as exc:
+    except ParameterError as exc:  # ParseError included
         print("wealthsim: config error:\n" + "\n".join(exc.problems), file=sys.stderr)
         return 2
     except OSError as exc:

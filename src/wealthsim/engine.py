@@ -5,11 +5,11 @@ kernel backend and records observables at two granularities:
 
 * a scalar series (mean, max, Gini, plus the wealth at a sampled set of
   ranks) every ``series_stride`` days, and
-* full descending-sorted wealth snapshots at ~75 log-spaced times.
+* full descending-sorted wealth snapshots at the schedule's snapshot days.
 
-Optionally, an excess-wealth histogram is accumulated on the fly at every
-stride tick inside one configured time window — full vectors are only kept
-at the sparse snapshot times, so the windowed histogram has to be streamed.
+Optionally, an excess-wealth histogram is streamed at every stride tick inside
+one configured time window, as full vectors are kept only at snapshot days.
+Those days (by default ~75 log-spaced ones, or none) change no other record.
 
 Events are recorded a block at a time: one kernel call advances through the
 next block of event days and stores the excess vector at each. The block is
@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from . import backends, stats
 from .errors import ParameterError
 from .params import ModelParams, Mode
 from .rng import stream_key
+
+SNAPSHOT_COUNT = 75
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,12 @@ class RecordingSchedule:
                 raise ParameterError(f"bad histogram window [{a}, {b})")
 
 
-def default_schedule(t_max: int, n_snapshots: int = 75, series_stride: int = 30,
+def default_schedule(t_max: int, n_snapshots: int = SNAPSHOT_COUNT,
                      **kwargs) -> RecordingSchedule:
-    """Log-spaced snapshot times (about ``n_snapshots`` of them) plus defaults."""
+    """Log-spaced snapshot times (about ``n_snapshots`` of them); ``kwargs``
+    set the other RecordingSchedule fields."""
     if t_max < 1:
-        return RecordingSchedule(snapshot_times=(0,), series_stride=series_stride, **kwargs)
+        return RecordingSchedule(snapshot_times=(0,) if n_snapshots > 0 else (), **kwargs)
     want = min(n_snapshots, t_max)
     request = want
     times = np.unique(np.rint(np.geomspace(1.0, t_max, request)).astype(np.int64))
@@ -88,8 +91,7 @@ def default_schedule(t_max: int, n_snapshots: int = 75, series_stride: int = 30,
     if times.size > want:
         keep = np.unique(np.rint(np.linspace(0, times.size - 1, want)).astype(np.int64))
         times = times[keep]
-    return RecordingSchedule(snapshot_times=tuple(int(t) for t in times),
-                             series_stride=series_stride, **kwargs)
+    return RecordingSchedule(snapshot_times=tuple(int(t) for t in times), **kwargs)
 
 
 @dataclass

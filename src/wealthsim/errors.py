@@ -72,11 +72,8 @@ class NoOverlap(WealthsimError, ValueError):
     """Two distributions have disjoint supports; a distance is meaningless."""
 
 
-class ParseError(WealthsimError, ValueError):
+class ParseError(ParameterError):
     """Config text rejected. ``problems`` lists every violation with line numbers."""
 
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("\n".join(self.problems))
+    def __str__(self):
+        return "\n".join(self.problems)

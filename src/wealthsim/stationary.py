@@ -61,6 +61,9 @@ SHIFT = 1.0 + 1e-6
 #: convergence tolerances of ``leading_eigenpair``: eigenvalue step, L1 vector step
 VALUE_TOL = 1e-10
 VECTOR_TOL = 1e-8
+#: default iteration cap of ``leading_eigenpair``, and default grid size
+MAX_ITER = 25000
+GRID_POINTS = 3600
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class LogGrid:
 
 
 def default_grid(w1: float = ModelParams.w1, wp: float = ModelParams.wp,
-                 m: int = 3600, decades: float = 12.0,
+                 m: int = GRID_POINTS, decades: float = 12.0,
                  decades_below: float = 8.0) -> LogGrid:
     """Grid spanning ``decades`` decades of excess wealth, with the initial
     log-excess ln(w1 - wp) placed ``decades_below`` decades above the floor."""
@@ -239,7 +242,7 @@ def _signed_unit(x: np.ndarray) -> np.ndarray:
 
 
 def leading_eigenpair(op: BandOperator, n_modes: int = 1, *,
-                      max_iter: int = 25000) -> Tuple[np.ndarray, List[np.ndarray], List[int]]:
+                      max_iter: int = MAX_ITER) -> Tuple[np.ndarray, List[np.ndarray], List[int]]:
     """Dominant eigenpairs by shift-invert (inverse) iteration.
 
     Each step solves ``(SHIFT*I - A) w = v`` (Golub & Van Loan, *Matrix
@@ -369,9 +372,9 @@ class StationarySolution:
 
 
 def solve_stationary(beta: float, epsilon: float, *, w1: float = ModelParams.w1,
-                     wp: float = ModelParams.wp, m: int = 3600,
+                     wp: float = ModelParams.wp, m: int = GRID_POINTS,
                      grid: Optional[LogGrid] = None,
-                     max_iter: int = 25000) -> StationarySolution:
+                     max_iter: int = MAX_ITER) -> StationarySolution:
     """Build the default-grid operator and solve for its leading mode."""
     if grid is None:
         grid = default_grid(w1, wp, m=m)

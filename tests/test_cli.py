@@ -111,6 +111,14 @@ def test_all_violations_collected_together():
     assert len(msgs) == 6
 
 
+def test_parse_error_is_a_parameter_error_with_one_problem_per_line():
+    exc = ParseError(["line 1: a", "line 2: b"])
+    assert isinstance(exc, ParameterError)
+    assert exc.problems == ["line 1: a", "line 2: b"]
+    assert str(exc) == "line 1: a\nline 2: b"
+    assert ParseError("line 3: c").problems == ["line 3: c"]
+
+
 def test_bool_and_list_values():
     cfg = cli.parse_config(BASE + "export_flux = no\nk_list = 1, 2.5 , 16\n")
     assert cfg.export_flux is False
@@ -485,7 +493,7 @@ def test_simulate_manifest_is_complete(sim_dir):
 
 def test_simulate_exports_match_engine_output(sim_dir, tmp_path):
     cfg = cli.parse_config(BASE)
-    records = engine.run(cfg, cfg.schedule(with_histograms=True), workers=1)
+    records = engine.run(cfg, cfg.schedule(), workers=1)
     rec = records[1]
     meta, header, cols = read_table(sim_dir / "series_run01.csv")
     assert meta["params_hash"] == cfg.params_hash()
@@ -509,7 +517,7 @@ def test_simulate_exports_match_engine_output(sim_dir, tmp_path):
 
 def test_window_histogram_round_trip(sim_dir):
     cfg = cli.parse_config(BASE)
-    records = engine.run(cfg, cfg.schedule(with_histograms=True), workers=1)
+    records = engine.run(cfg, cfg.schedule(), workers=1)
     hist = records[0].histogram
     back = cli.read_histogram(str(sim_dir / "window_hist_run00.csv"))
     np.testing.assert_allclose(back.bin_edges, hist.bin_edges, rtol=0, atol=0)
@@ -529,17 +537,68 @@ def test_read_histogram_rejects_missing_columns(tmp_path):
 def test_reruns_are_byte_identical_serial_and_parallel(tmp_path):
     cfg_serial = write_cfg(tmp_path, BASE, "serial.cfg")
     cfg_par = write_cfg(tmp_path, BASE + "workers = 3\n", "par.cfg")
-    dirs = [tmp_path / d for d in ("a", "b", "c")]
-    assert cli.main(["simulate", "--config", cfg_serial, "--out", str(dirs[0])]) == 0
-    assert cli.main(["simulate", "--config", cfg_serial, "--out", str(dirs[1])]) == 0
-    assert cli.main(["simulate", "--config", cfg_par, "--out", str(dirs[2])]) == 0
-    names = sorted(os.listdir(dirs[0]))
-    assert sorted(os.listdir(dirs[1])) == names
-    assert sorted(os.listdir(dirs[2])) == names
+    for command in ("simulate", "correlate"):
+        dirs = [tmp_path / command / d for d in ("a", "b", "c")]
+        assert cli.main([command, "--config", cfg_serial, "--out", str(dirs[0])]) == 0
+        assert cli.main([command, "--config", cfg_serial, "--out", str(dirs[1])]) == 0
+        assert cli.main([command, "--config", cfg_par, "--out", str(dirs[2])]) == 0
+        names = sorted(os.listdir(dirs[0]))
+        assert sorted(os.listdir(dirs[1])) == names
+        assert sorted(os.listdir(dirs[2])) == names
+        for name in names:
+            ref = (dirs[0] / name).read_bytes()
+            assert (dirs[1] / name).read_bytes() == ref, f"{command}: {name} differs on rerun"
+            assert (dirs[2] / name).read_bytes() == ref, f"{command}: {name} differs in parallel"
+
+
+SNAPSHOTS_OFF = "export_snapshots = false\nexport_histograms = false\n"
+
+
+@pytest.mark.parametrize("command, extra, snapshot_stops", [
+    pytest.param("correlate", "", False, id="correlate"),
+    pytest.param("simulate", SNAPSHOTS_OFF, False, id="simulate-snapshot-exports-off"),
+    pytest.param("simulate", "", True, id="simulate-snapshot-exports-on"),
+    pytest.param("simulate", "export_snapshots = false\n", True, id="simulate-histograms-on"),
+    pytest.param("simulate", "export_histograms = false\n", True, id="simulate-snapshots-on"),
+])
+def test_kernel_stops_at_snapshot_days_only_when_an_export_reads_them(
+        tmp_path, monkeypatch, command, extra, snapshot_stops):
+    stops = []
+    advance = backends.advance
+
+    def recorder(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled,
+                 target_total, block_stops=None, out=None):
+        stops.extend(np.asarray(block_stops).tolist())
+        return advance(excess, key, run, t0, n_days, beta, epsilon, w1, skewed, coupled,
+                       target_total, block_stops, out)
+
+    monkeypatch.setattr(engine.backends, "advance", recorder)
+    path = write_cfg(tmp_path, BASE + extra)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    ticks = set(range(0, 401, 50))  # t_max = 400, series_stride = 50
+    snapshot_days = set(engine.default_schedule(400, n_snapshots=6).snapshot_times)
+    assert not snapshot_days <= ticks  # some snapshot days fall between ticks
+    per_run = sorted(ticks | snapshot_days if snapshot_stops else ticks)
+    assert sorted(stops) == sorted(per_run * 2)  # n_runs = 2
+
+
+def test_snapshot_exports_off_leave_every_other_file_byte_identical(tmp_path, sim_dir):
+    out = tmp_path / "off"
+    path = write_cfg(tmp_path, BASE + SNAPSHOTS_OFF, "off.cfg")
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+    names = sorted(n for n in os.listdir(sim_dir)
+                   if not n.startswith(("snapshots_", "hist_")))
+    assert sorted(os.listdir(out)) == names
+    assert len(names) == 9  # manifest.json + two runs x (series, ranks, window_hist, flux)
     for name in names:
-        ref = (dirs[0] / name).read_bytes()
-        assert (dirs[1] / name).read_bytes() == ref, f"{name} differs on rerun"
-        assert (dirs[2] / name).read_bytes() == ref, f"{name} differs in parallel"
+        if name != "manifest.json":
+            assert (out / name).read_bytes() == (sim_dir / name).read_bytes(), name
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        off = json.load(fh)
+    with open(sim_dir / "manifest.json", encoding="utf-8") as fh:
+        on = json.load(fh)
+    assert off["params_hash"] == on["params_hash"]
+    assert off["files"] == [e for e in on["files"] if e["path"] in names]
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -590,7 +649,8 @@ def test_correlate_exports_flux_and_divide_report(tmp_path):
     assert n * n == fcols["raw"].size
     # matrix columns reproduce the in-memory flux matrix
     cfg = cli.parse_config(BASE)
-    rec = engine.run(cfg, cfg.schedule(), workers=1)[1]
+    ticks = engine.RecordingSchedule(snapshot_times=(), series_stride=cfg.series_stride)
+    rec = engine.run(cfg, ticks, workers=1)[1]
     fm = stats.flux_matrix(rec.rank_series, rec.rank_ids)
     np.testing.assert_array_equal(fcols["raw"], fm.A.ravel())
     np.testing.assert_array_equal(fcols["compressed"], fm.C.ravel())

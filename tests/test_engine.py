@@ -1,6 +1,7 @@
 """Driver-level behavior: scheduling, recording, determinism, error context."""
 
 import concurrent.futures
+import dataclasses
 import importlib
 import os
 import pickle
@@ -160,6 +161,9 @@ def test_default_schedule_small_horizon():
     sched = default_schedule(10)
     assert sched.snapshot_times == tuple(range(1, 11))
     assert default_schedule(0).snapshot_times == (0,)
+    # no snapshots asked for, none given, at any horizon
+    assert default_schedule(0, n_snapshots=0).snapshot_times == ()
+    assert default_schedule(5, n_snapshots=0).snapshot_times == ()
 
 
 def test_default_schedule_thins_an_overfull_request():
@@ -177,6 +181,27 @@ def test_custom_rank_ids_are_honored():
     assert np.all(rec.rank_series[0] >= rec.rank_series[1])
     assert np.all(rec.rank_series[1] >= rec.rank_series[2])
     np.testing.assert_array_equal(rec.rank_series[0], rec.max_series)
+
+
+@pytest.mark.parametrize("kernel", sorted(backends.available()))
+@pytest.mark.parametrize("mode", ["free", "reset", "skewed"])
+def test_records_do_not_depend_on_the_snapshot_days(monkeypatch, kernel, mode):
+    # the C kernel settles its pending rescale at every stop, rounding as a
+    # run straight through does, so stopping at a snapshot day changes nothing
+    monkeypatch.setattr(engine.backends, "advance", backends.available()[kernel])
+    params = small_params(n_agents=70, mode=mode, n_runs=2,
+                          epsilon=-0.015 if mode == "skewed" else 0.0)
+    with_snaps = default_schedule(600, n_snapshots=40, series_stride=25,
+                                  histogram_edges=tuple(np.geomspace(1e-4, 1e7, 23)),
+                                  histogram_window=(100, 501))
+    assert set(with_snaps.snapshot_times) - set(range(0, 601, 25))
+    without = dataclasses.replace(with_snaps, snapshot_times=())
+    for a, b in zip(run(params, with_snaps), run(params, without), strict=True):
+        assert b.sorted_snapshots.shape == (0, 70)
+        for field in ("series_times", "mean_series", "max_series", "gini_series",
+                      "rank_ids", "rank_series"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert a.histogram.counts.tobytes() == b.histogram.counts.tobytes()
 
 
 def _windowed_record(window):
