@@ -1,4 +1,4 @@
-/* Compiled day loop, CSV row formatter and banded LU.
+/* Compiled day loop, CSV row formatter, recorder and banded LU.
  *
  * advance is the same update as _kernels_py.advance, in C: its stop loop
  * runs the day loop through a block of stop days and stores the vector at
@@ -31,6 +31,14 @@
  * in parallel byte lanes, and whole-word stores lay out the text. No store
  * reaches past cell_bytes from its cell's start, so n cells always fit in
  * n * cell_bytes bytes. No printf: its decimal point follows LC_NUMERIC.
+ *
+ * record_rows reads a block of rows that numpy has just sorted, one pass
+ * a row, for the engine's max, Gini, rank, snapshot and histogram records,
+ * bit for bit as _kernels_py.record_rows forms them with numpy: its Gini
+ * sums the total as numpy's pairwise summation does and the rank-weighted
+ * sum in one serial chain a row, as numpy's matmul does on a reversed view
+ * (again without contraction), and runs several rows' chains interleaved.
+ * Histogram counts come from a merge walk of the row against the edges.
  *
  * band_lu and band_solve factor and solve an m x m band matrix with p
  * sub- and q super-diagonals (Golub & Van Loan, Matrix Computations,
@@ -440,6 +448,140 @@ int64_t format_rows(const void *const *columns, const char *is_float,
         p[-1] = '\n';
     }
     return p - out;
+}
+
+
+/* ---- Recording ---- */
+
+/* Rows whose dot-product chains run interleaved: each chain is serial, so
+ * alone it waits out every add's latency. */
+#define GROUP 8
+/* Products formed at a time, a row's worth for each row of a group */
+#define CHUNK 128
+
+/* a before b in numpy's sort order, NaN last */
+static inline int before(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+/* The sum of x[i] + wp over i < n as numpy's pairwise summation forms it:
+ * a plain loop below 8 terms, 8 accumulators up to 128, and above that the
+ * halves, split at a multiple of 8. */
+static double pairwise_sum(const double *x, int64_t n, double wp)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            s += x[i] + wp;
+        return s;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = x[k] + wp;
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += x[i + k] + wp;
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += x[i] + wp;
+        return s;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(x, n2, wp) + pairwise_sum(x + n2, n - n2, wp);
+}
+
+/* The Gini of each of the m <= GROUP ascending rows rows[g] (plus wp) into
+ * gini[g], as stats._gini_sorted gives it: the total summed pairwise, and
+ * the rank-weighted sum in one serial chain a row, as numpy's matmul sums
+ * a reversed view. Returns the first g whose total is 0, or -1. */
+static int gini_group(const double *const *rows, int m, int64_t n, double wp,
+                      double *gini)
+{
+    const double *x[GROUP];
+    double dot[GROUP] = {0.0}, p[GROUP][CHUNK];
+    for (int g = 0; g < GROUP; g++)
+        x[g] = rows[g < m ? g : m - 1];
+    for (int64_t i0 = 0; i0 < n; i0 += CHUNK) {
+        int c = n - i0 < CHUNK ? (int)(n - i0) : CHUNK;
+        for (int g = 0; g < GROUP; g++)
+            for (int j = 0; j < c; j++)
+                p[g][j] = (x[g][i0 + j] + wp) * (double)(i0 + j + 1);
+        for (int j = 0; j < c; j++)
+            for (int g = 0; g < GROUP; g++)
+                dot[g] += p[g][j];
+    }
+    for (int g = 0; g < m; g++) {
+        double total = pairwise_sum(rows[g], n, wp);
+        if (total == 0.0)
+            return g;
+        gini[g] = (2.0 * dot[g] - (double)(n + 1) * total) / ((double)n * total);
+    }
+    return -1;
+}
+
+/* Record the k ascending rows of n values in block, each just sorted as
+ * numpy sorts (NaN last). The i-th row flagged in ticks, plus wp, puts its
+ * top value in max_out[i], its Gini in gini_out[i] and its value at each
+ * 1-based descending rank rank_ids[r] in rank_out[r * rank_stride + i];
+ * the i-th flagged in snaps goes to row i
+ * of snap_out (n values a row), reversed, plus wp; each one flagged in
+ * window adds to counts[0..n_edges] how many of its values lie below
+ * edges[0], in each [edges[j - 1], edges[j]), and at or above the last, by
+ * a merge walk that gives numpy's searchsorted(side="left") for any edges.
+ * Returns -1, or the position among the tick rows of one whose total is 0,
+ * with the Gini of that row and of those after it unwritten. */
+int64_t record_rows(const double *block, int64_t k, int64_t n, double wp,
+                    const char *ticks, const char *snaps, const char *window,
+                    const int64_t *rank_ids, int64_t n_ranks, double *max_out,
+                    double *gini_out, double *rank_out, int64_t rank_stride,
+                    double *snap_out, const double *edges, int64_t n_edges,
+                    int64_t *counts)
+{
+    const double *group[GROUP];
+    int64_t tick = 0, first = -1;
+    int m = 0;
+    for (int64_t i = 0; i < k; i++) {
+        const double *x = block + i * n;
+        if (snaps[i]) {
+            for (int64_t j = 0; j < n; j++)
+                snap_out[j] = x[n - 1 - j] + wp;
+            snap_out += n;
+        }
+        if (window[i]) {
+            int64_t at = 0, below = 0;
+            for (int64_t e = 0; e < n_edges; e++) {
+                while (at > 0 && !before(x[at - 1], edges[e]))
+                    at--;
+                while (at + 8 <= n && before(x[at + 7], edges[e]))
+                    at += 8; /* the row ascends: all 8 lie below */
+                while (at < n && before(x[at], edges[e]))
+                    at++;
+                counts[e] += at - below;
+                below = at;
+            }
+            counts[n_edges] += n - below;
+        }
+        if (ticks[i]) {
+            max_out[tick] = x[n - 1] + wp;
+            for (int64_t r = 0; r < n_ranks; r++)
+                rank_out[r * rank_stride + tick] = x[n - rank_ids[r]] + wp;
+            if (!m)
+                first = tick;
+            group[m++] = x;
+            tick++;
+        }
+        if (m == GROUP || (m && i == k - 1)) {
+            int bad = gini_group(group, m, n, wp, gini_out + first);
+            if (bad >= 0)
+                return first + bad;
+            m = 0;
+        }
+    }
+    return -1;
 }
 
 

@@ -1,5 +1,5 @@
-"""Pure-Python backend: the numpy kernel, the cell-by-cell CSV writer and
-the block cyclic reduction band solver.
+"""Pure-Python backend: the numpy kernel, the numpy recorder, the
+cell-by-cell CSV writer and the block cyclic reduction band solver.
 
 ``advance`` is semantically identical to the compiled kernel in
 ``_kernel.c`` — both consume the same counter-based random stream and apply
@@ -9,7 +9,8 @@ roundoff: numpy sums the renormalizing total pairwise, the C kernel in 16
 compensated lanes. ``write_rows`` writes each cell as ``format_value``
 defines it, the bytes the compiled writer gives too. ``band_solver`` solves
 the band systems that the compiled ``band_lu`` and ``band_solve`` do, to
-roundoff.
+roundoff. ``record_rows`` records a sorted block in stacked numpy calls,
+with the bits of the compiled ``record_rows``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from . import stats
 from .errors import NormalizationDegenerate
 from .model import DEGENERACY_RELATIVE
 from .rng import day_uniforms
@@ -45,6 +47,85 @@ def write_rows(fh, columns, rows):
         block = zip(*(c[start:start + rows] for c in columns))
         text = "".join(",".join(map(format_value, row)) + "\n" for row in block)
         fh.write(text.encode("utf-8"))
+
+
+def _rows(mask: np.ndarray):
+    """Index of the block rows ``mask`` selects; a slice, so a view, if all."""
+    return slice(None) if mask.all() else mask
+
+
+def _writable(a, ndim: int) -> bool:
+    """Whether ``a`` is a writeable C-contiguous float64 array of ``ndim``
+    dimensions."""
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == ndim
+            and a.flags.c_contiguous and a.flags.writeable)
+
+
+def checked_recording(block, ticks, snaps, window, rank_ids, max_out, gini_out,
+                      rank_out, snap_out, edges, counts):
+    """How many ticks, and how many snapshots, come before each event of a
+    run and in all (two lists), once the arrays ``record_rows`` takes are
+    checked against the rows the run's flags select. Raises ValueError."""
+    if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+            and block.ndim == 2 and block.shape[1] and block.flags.c_contiguous):
+        raise ValueError("record_rows needs a C-contiguous float64 block of rows")
+    n = block.shape[1]
+    if any(f.dtype != np.bool_ or f.shape != ticks.shape or f.ndim != 1
+           or not f.flags.c_contiguous for f in (ticks, snaps, window)):
+        raise ValueError("ticks, snaps and window must be equally long contiguous bools")
+    if not (rank_ids.dtype == np.int64 and rank_ids.ndim == 1 and rank_ids.flags.c_contiguous
+            and (not rank_ids.size or 1 <= rank_ids.min() <= rank_ids.max() <= n)):
+        raise ValueError(f"rank_ids must be contiguous int64 ranks in 1..{n}")
+    tick_at, snap_at = [0, *np.cumsum(ticks).tolist()], [0, *np.cumsum(snaps).tolist()]
+    if not all(_writable(a, 1) and a.shape[0] >= tick_at[-1] for a in (max_out, gini_out)):
+        raise ValueError(f"max_out and gini_out need room for {tick_at[-1]} ticks")
+    if not (_writable(rank_out, 2) and rank_out.shape[0] == rank_ids.size
+            and rank_out.shape[1] >= tick_at[-1]):
+        raise ValueError(f"rank_out needs {rank_ids.size} rows of {tick_at[-1]} ticks")
+    if not (_writable(snap_out, 2) and snap_out.shape[0] >= snap_at[-1]
+            and snap_out.shape[1] == n):
+        raise ValueError(f"snap_out needs {snap_at[-1]} rows of {n}")
+    if not (edges.dtype == np.float64 and edges.ndim == 1 and edges.flags.c_contiguous
+            and counts.dtype == np.int64 and counts.shape == (edges.size + 1,)
+            and counts.flags.c_contiguous and counts.flags.writeable):
+        raise ValueError("counts must be len(edges) + 1 writeable int64 for "
+                         "contiguous float64 edges")
+    return tick_at, snap_at
+
+
+def record_rows(block, wp, ticks, snaps, window, rank_ids, max_out, gini_out,
+                rank_out, snap_out, edges, counts):
+    """``record(lo, k)``, which records events lo..lo + k - 1 of one run
+    from the first k rows of ``block``, each just sorted ascending, plus ``wp``.
+
+    ``ticks``, ``snaps`` and ``window`` flag the run's events. The i-th
+    tick gives ``max_out[i]``, ``gini_out[i]`` (``stats._gini_sorted``) and
+    ``rank_out[:, i]``, its values at the 1-based descending ranks
+    ``rank_ids``; the i-th snapshot is ``snap_out[i]``, descending. Each
+    window event adds its ``stats.bin_excess`` counts against ``edges`` to
+    ``counts``. A tick whose total is 0 raises DegenerateInput; arrays
+    that ``checked_recording`` refuses raise ValueError.
+    """
+    tick_at, snap_at = checked_recording(block, ticks, snaps, window, rank_ids, max_out,
+                                         gini_out, rank_out, snap_out, edges, counts)
+    ranks = np.arange(1, block.shape[1] + 1, dtype=np.float64)
+
+    def record(lo, k):
+        """Record events lo..lo + k - 1 from the first k rows of the block."""
+        here = slice(lo, lo + k)
+        blk = block[:k]
+        desc = blk[:, ::-1] + wp
+        tick_desc = desc[_rows(ticks[here])]
+        at = slice(tick_at[lo], tick_at[lo + k])
+        max_out[at] = tick_desc[:, 0]
+        # on the reversed view, as on one reversed row: the same bits
+        gini_out[at] = stats._gini_sorted(tick_desc[:, ::-1], ranks)
+        rank_out[:, at] = tick_desc[:, rank_ids - 1].T
+        snap_out[snap_at[lo]:snap_at[lo + k]] = desc[snaps[here]]
+        if window[here].any():
+            counts[:] += stats.bin_excess(edges, blk[_rows(window[here])]).sum(axis=0)
+
+    return record
 
 
 def checked_block(excess, t0, n_days, stops, out):

@@ -18,10 +18,15 @@ warning names the cause and the numpy kernel of ``_kernels_py`` runs instead
 
 Either backend also writes CSV rows: ``write_rows`` writes int64 and float64
 columns as the text ``_kernels_py.format_value`` defines, through the same
-library's ``format_rows`` or, under the numpy kernel, cell by cell. And
-either solves band systems: ``band_solver(ab, p, q)`` factors a band matrix
-once and returns ``solve(r)``, through the library's ``band_lu`` and
-``band_solve`` or, under the numpy kernel, by block cyclic reduction.
+library's ``format_rows`` or, under the numpy kernel, cell by cell. Either
+solves band systems: ``band_solver(ab, p, q)`` factors a band matrix once
+and returns ``solve(r)``, through the library's ``band_lu`` and
+``band_solve`` or, under the numpy kernel, by block cyclic reduction. And
+either records a run's sorted blocks: ``record_rows`` checks the run's
+arrays once and returns ``record(lo, k)``, which fills a block's max, Gini,
+ranks, snapshots and histogram counts through the library's ``record_rows``,
+one pass per row, or, under the numpy kernel, in stacked numpy calls; both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import warnings
 import numpy as np
 
 from . import _kernels_py
-from .errors import NormalizationDegenerate
+from .errors import DegenerateInput, NormalizationDegenerate
 from .model import DEGENERACY_RELATIVE
 from .rng import GOLDEN, MASK64, MIX1, MIX2, RUN_SHIFT, T_SHIFT
 
@@ -74,6 +79,13 @@ _FORMAT_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 _BAND_ARGTYPES = (
     np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS, WRITEABLE"),
     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,      # m, p, q
+)
+_RECORD_ARGTYPES = (
+    ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,     # block, k, n
+    ctypes.c_double, *[ctypes.c_void_p] * 4,             # wp, ticks, snaps, window, rank_ids
+    ctypes.c_int64, *[ctypes.c_void_p] * 3,              # n_ranks, max_out, gini_out, rank_out
+    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,    # rank_stride, snap_out, edges
+    ctypes.c_int64, ctypes.c_void_p,                     # n_edges, counts
 )
 
 
@@ -131,9 +143,9 @@ def _build(cmd) -> str:
 
 def _load(cmd):
     """The library that ``cmd`` compiles, as (advance, write_rows,
-    band_solver): an ``advance`` with the numpy kernel's signature and a
-    ``compile_command`` attribute, and a ``write_rows`` and a ``band_solver``
-    with those of ``_kernels_py``."""
+    band_solver, record_rows): an ``advance`` with the numpy kernel's
+    signature and a ``compile_command`` attribute, and the others with
+    those of ``_kernels_py``."""
     lib = ctypes.CDLL(_build(cmd))
     fn = lib.advance
     fn.argtypes = _ARGTYPES
@@ -156,7 +168,7 @@ def _load(cmd):
             raise NormalizationDegenerate(bad_total.value, degen, run_id=run, t=bad_t)
 
     advance.compile_command = tuple(cmd)
-    return advance, _writer(lib), _band_solver(lib)
+    return advance, _writer(lib), _band_solver(lib), _recorder(lib)
 
 
 def _writer(lib):
@@ -225,10 +237,47 @@ def _band_solver(lib):
     return band_solver
 
 
+def _recorder(lib):
+    """``record_rows`` through the loaded library's ``record_rows``."""
+    fn = lib.record_rows
+    fn.argtypes = _RECORD_ARGTYPES
+    fn.restype = ctypes.c_int64
+
+    def record_rows(block, wp, ticks, snaps, window, rank_ids, max_out, gini_out,
+                    rank_out, snap_out, edges, counts):
+        """``record(lo, k)`` for one run, as ``_kernels_py.record_rows`` gives
+        it, bit for bit. Every array the C calls read or write is checked
+        once, here, and each call's events before it runs."""
+        tick_at, snap_at = _kernels_py.checked_recording(
+            block, ticks, snaps, window, rank_ids, max_out, gini_out, rank_out,
+            snap_out, edges, counts)
+        (rows, n), events = block.shape, ticks.shape[0]
+        arrays = (block, ticks, snaps, window, rank_ids, max_out, gini_out, rank_out,
+                  snap_out, edges, counts)
+        (b, tk, sn, wd, rk, mx, gi, ro, so, ed, co) = (a.ctypes.data for a in arrays)
+        wp = float(wp)
+        stride = rank_out.shape[1]
+
+        def record(lo, k):
+            """Record events lo..lo + k - 1 from the first k rows of the block."""
+            if not (0 <= lo and 0 <= k <= rows and lo + k <= events):
+                raise ValueError(f"events {lo}..{lo + k - 1} are not {k} <= {rows} "
+                                 f"rows of 0..{events - 1}")
+            t, s = tick_at[lo], snap_at[lo]
+            if fn(b, k, n, wp, tk + lo, sn + lo, wd + lo, rk, rank_ids.size, mx + 8 * t,
+                  gi + 8 * t, ro + 8 * t, stride, so + 8 * n * s, ed, edges.size, co) >= 0:
+                raise DegenerateInput("gini undefined for an all-zero vector")
+
+        record.arrays = arrays  # the pointers above point into these: keep them alive
+        return record
+
+    return record_rows
+
+
 def _select():
-    """(name, advance, write_rows, band_solver) of the C library, built for
-    the host CPU or else portably, or of the pure-Python backend if neither
-    build loads."""
+    """(name, advance, write_rows, band_solver, record_rows) of the C
+    library, built for the host CPU or else portably, or of the pure-Python
+    backend if neither build loads."""
     for cmd in ([_CC, *_NATIVE, *_CFLAGS], [_CC, *_CFLAGS]):
         try:
             return ("c", *_load(cmd))
@@ -236,10 +285,11 @@ def _select():
             failure = exc
     warnings.warn(f"C kernel unavailable, using the numpy kernel: {failure}",
                   RuntimeWarning, stacklevel=2)
-    return "python", _kernels_py.advance, _kernels_py.write_rows, _kernels_py.band_solver
+    return ("python", _kernels_py.advance, _kernels_py.write_rows,
+            _kernels_py.band_solver, _kernels_py.record_rows)
 
 
-backend_name, advance, write_rows, band_solver = _select()
+backend_name, advance, write_rows, band_solver, record_rows = _select()
 compile_command = getattr(advance, "compile_command", None)
 
 
@@ -251,3 +301,8 @@ def available():
 def band_solvers():
     """Name -> band_solver for every backend that loads here."""
     return {"python": _kernels_py.band_solver, backend_name: band_solver}
+
+
+def recorders():
+    """Name -> record_rows for every backend that loads here."""
+    return {"python": _kernels_py.record_rows, backend_name: record_rows}

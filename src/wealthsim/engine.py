@@ -12,11 +12,11 @@ one configured time window, as full vectors are kept only at snapshot days.
 Those days (by default ~75 log-spaced ones, or none) change no other record.
 
 Events are recorded a block at a time: one kernel call advances through the
-next block of event days and stores the excess vector at each. The block is
-then recorded with one numpy call each for the row means, the sort, the
-Gini product and ``stats.bin_excess`` (which needs ascending rows); the
-snapshots, the series and the histogram all read that one sort. Each record
-is bit for bit what one kernel call and one sort per event would give.
+next block of event days and stores the excess vector at each. numpy takes
+the row means and sorts the rows, and the backend's ``record_rows`` reads
+the sorted block once for the max, Gini, ranks, snapshots and windowed
+histogram counts. Each record is bit for bit what one kernel call and one
+sort per event would give.
 
 Because every random draw is a pure function of (seed, run, t, agent),
 records are bit-identical however the runs are scheduled: serially, or as
@@ -153,15 +153,10 @@ def run(params: ModelParams, schedule: Optional[RecordingSchedule] = None,
 
 
 #: Bytes of excess vectors one kernel call stores for recording, sized for
-#: the block to stay in L2: 13 events at N = 3600. There, on a 2-vCPU Xeon,
-#: blocks of 8-20 events ran engine.run in ~0.8x the time of one event per
-#: call, and blocks of 72 in 1.1-1.2x.
+#: the block to stay in L2: 13 events at N = 3600. There, on a 2-vCPU Xeon
+#: with the compiled recorder, blocks of 8-20 events ran engine.run in ~0.53x
+#: the time of one event per call, and blocks of 72 in 0.55x.
 _BLOCK_BYTES = 400_000
-
-
-def _rows(mask: np.ndarray):
-    """Index of the block rows ``mask`` selects; a slice, so a view, if all."""
-    return slice(None) if mask.all() else mask
 
 
 def _run_single(params: ModelParams, schedule: RecordingSchedule,
@@ -182,54 +177,42 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
     is_snap = np.isin(events, snap_times)
 
     n_ticks = tick_times.size
-    mean_series = np.empty(n_ticks)
+    event_means = np.empty(events.size)
     max_series = np.empty(n_ticks)
     gini_series = np.empty(n_ticks)
     rank_series = np.empty((rank_ids.size, n_ticks))
     sorted_snapshots = np.empty((snap_times.size, n))
 
     window = schedule.histogram_window
+    edges = np.empty(0)
+    in_window = np.zeros_like(is_tick)
     if window is not None:
         edges = np.asarray(schedule.histogram_edges, dtype=np.float64)
-        hist_counts = np.zeros(edges.size + 1, dtype=np.int64)
         in_window = is_tick & (window[0] <= events) & (events < window[1])
+    hist_counts = np.zeros(edges.size + 1, dtype=np.int64)
 
-    ranks = np.arange(1, n + 1, dtype=np.float64)
     block = np.empty((min(max(1, _BLOCK_BYTES // (8 * n)), events.size), n))
-    tick_pos = snap_pos = 0
+    record = backends.record_rows(block, wp, is_tick, is_snap, in_window, rank_ids,
+                                  max_series, gini_series, rank_series,
+                                  sorted_snapshots, edges, hist_counts)
     t_now = 0
     for lo in range(0, events.size, block.shape[0]):
         stops = events[lo:lo + block.shape[0]]
-        here = slice(lo, lo + stops.size)
         blk = block[:stops.size]
         backends.advance(excess, key, run_id, t_now, int(stops[-1]) - t_now,
                          params.beta, params.epsilon, params.w1,
                          skewed, coupled, target_total, stops, blk)
         t_now = int(stops[-1])
-        means = blk.mean(axis=1)
+        blk.mean(axis=1, out=event_means[lo:lo + stops.size])
         blk.sort(axis=1)  # ascending from here on
-        desc = blk[:, ::-1] + wp
-        ticks = _rows(is_tick[here])
-        tick_desc = desc[ticks]
-        at = slice(tick_pos, tick_pos + tick_desc.shape[0])
-        mean_series[at] = wp + means[ticks]
-        max_series[at] = tick_desc[:, 0]
-        # on the reversed view, as on one reversed row: the same bits
-        gini_series[at] = stats._gini_sorted(tick_desc[:, ::-1], ranks)
-        rank_series[:, at] = tick_desc[:, rank_ids - 1].T
-        tick_pos = at.stop
-        snaps = desc[is_snap[here]]
-        sorted_snapshots[snap_pos:snap_pos + snaps.shape[0]] = snaps
-        snap_pos += snaps.shape[0]
-        if window is not None and in_window[here].any():
-            hist_counts += stats.bin_excess(edges, blk[_rows(in_window[here])]).sum(axis=0)
+        record(lo, stops.size)
 
     histogram = (None if window is None else
                  stats.LogHistogram(bin_edges=edges, counts=hist_counts, window=window))
     return TrajectoryRecord(
         params=params, run_id=run_id,
-        series_times=tick_times, mean_series=mean_series, max_series=max_series,
-        gini_series=gini_series, rank_ids=rank_ids, rank_series=rank_series,
-        snapshot_times=snap_times, sorted_snapshots=sorted_snapshots,
-        histogram=histogram,
+        series_times=tick_times, mean_series=wp + event_means[is_tick],
+        max_series=max_series, gini_series=gini_series, rank_ids=rank_ids,
+        rank_series=rank_series, snapshot_times=snap_times,
+        sorted_snapshots=sorted_snapshots, histogram=histogram,
     )

@@ -16,10 +16,12 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 from test_tableio import FORMATTER_CASES, INT64, c_cells
 
-from wealthsim import _kernels_py, backends
-from wealthsim.errors import NormalizationDegenerate
+from wealthsim import _kernels_py, backends, stats
+from wealthsim.errors import DegenerateInput, NormalizationDegenerate
 from wealthsim.rng import MAX_DAYS, MAX_RUNS, stream_key
 from wealthsim.tableio import format_value
 
@@ -223,7 +225,7 @@ def test_missing_compiler_falls_back_to_numpy_loudly(tmp_path, monkeypatch):
     with pytest.warns(RuntimeWarning, match="numpy kernel.*wealthsim-no-such-compiler"):
         selected = backends._select()
     assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows,
-                        _kernels_py.band_solver)
+                        _kernels_py.band_solver, _kernels_py.record_rows)
     assert os.listdir(tmp_path) == []
 
 
@@ -238,7 +240,7 @@ def test_failing_compile_falls_back_to_numpy_with_the_compiler_message(tmp_path,
     with pytest.warns(RuntimeWarning, match="numpy kernel.*wealthsim-test: no kernel today"):
         selected = backends._select()
     assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows,
-                        _kernels_py.band_solver)
+                        _kernels_py.band_solver, _kernels_py.record_rows)
     assert sorted(os.listdir(tmp_path)) == ["cc"]  # no library, no temporary left
 
 
@@ -282,11 +284,12 @@ def test_a_build_removes_the_libraries_of_other_sources_only(tmp_path, monkeypat
 def test_unsupported_native_flag_falls_back_to_a_portable_build(monkeypatch):
     monkeypatch.setattr(backends, "_NATIVE",
                         ("-march=wealthsim-no-such-cpu", "-mprefer-vector-width=512"))
-    name, advance, write_rows, band_solver = backends._select()
+    name, advance, write_rows, band_solver, record_rows = backends._select()
     assert name == "c"
     assert not set(backends._NATIVE) & set(advance.compile_command)
     assert write_rows is not _kernels_py.write_rows
     assert band_solver is not _kernels_py.band_solver
+    assert record_rows is not _kernels_py.record_rows
     monkeypatch.setattr(backends, "advance", advance)
     a = _advance("python", np.full(N, 600.0))
     b = _advance("c", np.full(N, 600.0))
@@ -379,21 +382,29 @@ for path in sys.argv[2:]:
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
 
-@pytest.mark.skipif(shutil.which(backends._CC) is None, reason="no C compiler")
-def test_formatter_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path):
+@pytest.fixture(scope="module")
+def sanitized(tmp_path_factory):
+    """(library, environment): the library built with SANITIZE, and the
+    environment that runs a Python process with libasan preloaded."""
+    if shutil.which(backends._CC) is None:
+        pytest.skip("no C compiler")
     libasan = subprocess.run([backends._CC, "-print-file-name=libasan.so"],
                              capture_output=True, text=True).stdout.strip()
     if not os.path.isabs(libasan):  # a bare name: the compiler has none
         pytest.skip("the compiler has no libasan")
-    lib = tmp_path / "_kernel_sanitized.so"
+    lib = tmp_path_factory.mktemp("sanitized") / "_kernel_sanitized.so"
     cmd = backends.compile_command or (backends._CC, *backends._CFLAGS)
     subprocess.run([*cmd, *SANITIZE, "-o", str(lib), backends._SOURCE], check=True)
+    return str(lib), dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+
+
+def test_formatter_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path, sanitized):
+    lib, env = sanitized
     paths = []
     for case, column in FORMATTER_CASES.items():
         paths.append(str(tmp_path / f"{case}.npy"))
         np.save(paths[-1], column)
-    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
-    done = subprocess.run([sys.executable, "-c", _CELL_BY_CELL, str(lib), *paths],
+    done = subprocess.run([sys.executable, "-c", _CELL_BY_CELL, lib, *paths],
                           capture_output=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr.decode(errors="replace")[-4000:]
     cells = done.stdout.decode("ascii").split("\n")[:-1]
@@ -401,6 +412,87 @@ def test_formatter_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_pat
     assert len(cells) == len(values)
     wrong = [(v, got) for v, got in zip(values, cells) if got != format_value(v)]
     assert not wrong[:5]
+
+
+# Each array record_rows reads or writes is a malloc'd block of exactly the
+# bytes the call may touch, so that AddressSanitizer sees any access past it.
+_RECORD_CALLS = """
+import ctypes, sys
+import numpy as np
+lib, libc = ctypes.CDLL(sys.argv[1]), ctypes.CDLL(None)
+libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, (ctypes.c_size_t,)
+libc.free.argtypes = (ctypes.c_void_p,)
+fn = lib.record_rows
+fn.restype = ctypes.c_int64
+fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+               *[ctypes.c_void_p] * 4, ctypes.c_int64, *[ctypes.c_void_p] * 3,
+               ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+               ctypes.c_void_p)
+for path in sys.argv[2:]:
+    case = dict(np.load(path))
+    k, n = case["block"].shape
+    ticks = int(case["ticks"].sum())
+    case.update(max_out=np.zeros(ticks), gini_out=np.zeros(ticks),
+                rank_out=np.zeros((case["rank_ids"].size, ticks)),
+                snap_out=np.zeros((int(case["snaps"].sum()), n)),
+                counts=np.zeros(case["edges"].size + 1, dtype=np.int64))
+    wp = float(case.pop("wp"))
+    at = {name: libc.malloc(a.nbytes) for name, a in case.items()}
+    for name, a in case.items():
+        ctypes.memmove(at[name], a.ctypes.data, a.nbytes)
+    bad = fn(at["block"], k, n, wp, at["ticks"], at["snaps"],
+             at["window"], at["rank_ids"], case["rank_ids"].size, at["max_out"],
+             at["gini_out"], at["rank_out"], ticks, at["snap_out"], at["edges"],
+             case["edges"].size, at["counts"])
+    assert bad == -1, bad
+    out = {name: np.frombuffer(ctypes.string_at(at[name], case[name].nbytes),
+                               dtype=case[name].dtype).reshape(case[name].shape)
+           for name in ("max_out", "gini_out", "rank_out", "snap_out", "counts")}
+    np.savez(path + ".out.npz", **out)
+    for p in at.values():
+        libc.free(p)
+"""
+
+
+def _record_case(n, k, ranks, edges, rng):
+    """One call's inputs: k sorted rows of n, every kind of row flagged."""
+    block = np.sort(rng.lognormal(3.0, 2.0, size=(k, n)), axis=1)
+    flags = rng.random((3, k)) < 0.7
+    flags[:, -1] = True  # a partial last group still has a tick at its end
+    return dict(block=block, ticks=flags[0], snaps=flags[1], window=flags[2],
+                rank_ids=np.asarray(ranks, dtype=np.int64), edges=edges, wp=400.0)
+
+
+def test_recorder_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path, sanitized):
+    # rank N reads a row's first value and N = 1 rows of one value; 11 and 13
+    # tick rows end in a partial group of interleaved rows, and N = 130 and
+    # 3600 in a partial chunk of products, with edges past both ends of the data
+    lib, env = sanitized
+    rng = np.random.default_rng(20261021)
+    wide = np.geomspace(1e-6, 1e9, 61)
+    cases = [_record_case(1, 3, [1], wide, rng),
+             _record_case(9, 5, [1, 9], np.array([1.0, 5.0]), rng),
+             _record_case(130, 11, [1, 2, 130], wide, rng),
+             _record_case(3600, 13, stats.default_ranks(3600), wide, rng)]
+    paths = []
+    for i, case in enumerate(cases):
+        paths.append(str(tmp_path / f"case{i}.npz"))
+        np.savez(paths[-1], **case)
+    done = subprocess.run([sys.executable, "-c", _RECORD_CALLS, lib, *paths],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")[-4000:]
+    for path, case in zip(paths, cases):
+        got = np.load(path + ".out.npz")
+        k, n = case["block"].shape
+        want = dict(max_out=np.zeros(case["ticks"].sum()), gini_out=np.zeros(case["ticks"].sum()),
+                    rank_out=np.zeros((case["rank_ids"].size, case["ticks"].sum())),
+                    snap_out=np.zeros((case["snaps"].sum(), n)),
+                    counts=np.zeros(case["edges"].size + 1, dtype=np.int64))
+        _kernels_py.record_rows(np.array(case["block"]), case["wp"], case["ticks"],
+                                case["snaps"], case["window"], case["rank_ids"],
+                                **want, edges=case["edges"])(0, k)
+        for name, expect in want.items():
+            assert got[name].tobytes() == expect.tobytes(), (path, name)
 
 
 def _band(m=6, p=1, q=1, **kwargs):
@@ -443,3 +535,157 @@ def test_every_band_solver_refuses_a_right_hand_side_of_the_wrong_shape(r):
     for band_solver in backends.band_solvers().values():
         with pytest.raises(ValueError, match="right-hand side"):
             band_solver(_band(p=2, q=2), 2, 2)(r)
+
+
+# ---- The two recorders ----
+
+# Every branch of numpy's pairwise sum and of its recursion: under 8 terms,
+# one 8-accumulator leaf with and without a tail, and halves split at a
+# multiple of 8, once and many times.
+RECORD_N = (1, 7, 8, 9, 127, 128, 129, 130, 3600, 8193)
+
+
+def _run_flags(draw, events):
+    """ticks, snaps and window flags of a run: each all set, none, or mixed."""
+    def one():
+        kind = draw(hyp.sampled_from(["all", "none", "mixed"]))
+        if kind != "mixed":
+            return np.full(events, kind == "all")
+        return np.array(draw(hyp.lists(hyp.booleans(), min_size=events, max_size=events)))
+    return one(), one(), one()
+
+
+@hyp.composite
+def recordings(draw, n):
+    """A run's worth of sorted blocks of n values, with its flags, ranks and
+    edges."""
+    rows = draw(hyp.integers(1, 20))
+    events = draw(hyp.integers(1, 3 * rows))
+    rng = np.random.default_rng(draw(hyp.integers(0, 2**32 - 1)))
+    ties = draw(hyp.booleans())
+    values = (rng.choice(rng.lognormal(3.0, 2.0, size=5), size=(events, n)) if ties
+              else rng.lognormal(3.0, 2.0, size=(events, n)))
+    values.sort(axis=1)
+    edges = {
+        "geometric": np.geomspace(1e-6, 1e8, 41),      # past both ends of the data
+        "on-values": np.unique(rng.choice(values.ravel(), size=12)),
+        "below-all": np.geomspace(1e-12, 1e-9, 5),
+        "above-all": np.geomspace(1e12, 1e15, 5),
+    }[draw(hyp.sampled_from(["geometric", "on-values", "below-all", "above-all"]))]
+    ranks = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=7)]))
+    return dict(values=values, rows=rows, flags=_run_flags(draw, events),
+                rank_ids=ranks.astype(np.int64), edges=edges,
+                wp=draw(hyp.sampled_from([0.0, 400.0, -1.5])))
+
+
+def _record(record_rows, case):
+    """The outputs of one run recorded block by block with ``record_rows``."""
+    values, rows, (ticks, snaps, window) = case["values"], case["rows"], case["flags"]
+    n = values.shape[1]
+    out = dict(max=np.full(ticks.sum(), np.nan), gini=np.full(ticks.sum(), np.nan),
+               ranks=np.full((case["rank_ids"].size, ticks.sum()), np.nan),
+               snaps=np.full((snaps.sum(), n), np.nan),
+               counts=np.zeros(case["edges"].size + 1, dtype=np.int64))
+    block = np.empty((rows, n))
+    record = record_rows(block, case["wp"], ticks, snaps, window, case["rank_ids"],
+                         out["max"], out["gini"], out["ranks"], out["snaps"],
+                         case["edges"], out["counts"])
+    for lo in range(0, len(values), rows):  # the last block may be partly full
+        k = min(rows, len(values) - lo)
+        block[:k] = values[lo:lo + k]
+        record(lo, k)
+    return out
+
+
+@needs_both
+@pytest.mark.parametrize("n", RECORD_N)
+@settings(max_examples=25, deadline=None)
+@given(data=hyp.data())
+def test_compiled_recorder_matches_the_numpy_recorder_bit_for_bit(n, data):
+    case = data.draw(recordings(n))
+    want = _record(_kernels_py.record_rows, case)
+    got = _record(backends.recorders()["c"], case)
+    for name, expect in want.items():
+        assert got[name].tobytes() == expect.tobytes(), name
+
+
+def test_window_counts_put_nan_last_as_searchsorted_does():
+    # numpy sorts NaN last, and searchsorted counts it at or above every edge,
+    # NaN edges included; decreasing edges count back down
+    row = np.array([0.5, 1.0, 1.0, 2.0, np.nan, np.nan])
+    edges = np.array([1.0, 2.0, np.nan, 0.75, 5.0])
+    case = dict(values=row[None, :], rows=1, rank_ids=np.array([1, 6]), edges=edges,
+                wp=0.0, flags=(np.zeros(1, bool), np.zeros(1, bool), np.ones(1, bool)))
+    for record_rows in backends.recorders().values():
+        counts = _record(record_rows, case)["counts"]
+        below = np.searchsorted(row, edges, side="left")
+        assert counts.tolist() == np.diff(below, prepend=0, append=row.size).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(backends.recorders()))
+def test_a_tick_with_a_zero_total_is_degenerate_on_every_recorder(name):
+    values = np.zeros((3, 9))
+    values[0] = np.arange(9.0)  # one good tick before it, in the same block
+    case = dict(values=values, rows=3, rank_ids=np.array([1, 9]), edges=np.ones(1),
+                wp=0.0, flags=(np.ones(3, bool), np.zeros(3, bool), np.zeros(3, bool)))
+    with pytest.raises(DegenerateInput, match="all-zero"):
+        _record(backends.recorders()[name], case)
+
+
+def _recorder_args(events=4, rows=2, n=5, **change):
+    """Good arguments for record_rows, as a dict, with ``change`` applied."""
+    ticks = np.array([True, False, True, True])[:events]
+    args = dict(block=np.zeros((rows, n)), wp=400.0, ticks=ticks,
+                snaps=np.array([False, True, True, False])[:events],
+                window=np.ones(events, bool), rank_ids=np.array([1, n]),
+                max_out=np.empty(3), gini_out=np.empty(3), rank_out=np.empty((2, 3)),
+                snap_out=np.empty((2, n)), edges=np.array([1.0, 2.0]),
+                counts=np.zeros(3, dtype=np.int64))
+    args.update(change)
+    return args
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(dict(block=np.zeros((2, 10))[:, ::2]), id="block-strided"),
+    pytest.param(dict(block=np.zeros((2, 5), dtype=np.float32)), id="block-float32"),
+    pytest.param(dict(block=np.zeros(5)), id="block-1-d"),
+    pytest.param(dict(block=np.zeros((2, 0))), id="block-of-empty-rows"),
+    pytest.param(dict(ticks=np.ones(3, bool)), id="ticks-short"),
+    pytest.param(dict(snaps=np.zeros(5, bool)), id="snaps-long"),
+    pytest.param(dict(window=np.ones(4, np.uint8)), id="window-uint8"),
+    pytest.param(dict(rank_ids=np.array([0, 5])), id="rank-0"),
+    pytest.param(dict(rank_ids=np.array([1, 6])), id="rank-past-N"),
+    pytest.param(dict(rank_ids=np.array([1, 5], dtype=np.int32)), id="ranks-int32"),
+    pytest.param(dict(max_out=np.empty(2)), id="max-short"),
+    pytest.param(dict(gini_out=np.empty(2)), id="gini-short"),
+    pytest.param(dict(rank_out=np.empty((2, 2))), id="rank-out-short"),
+    pytest.param(dict(rank_out=np.empty((1, 3))), id="rank-out-rows"),
+    pytest.param(dict(rank_out=np.empty((2, 6))[:, ::2]), id="rank-out-strided"),
+    pytest.param(dict(snap_out=np.empty((1, 5))), id="snap-out-short"),
+    pytest.param(dict(snap_out=np.empty((2, 4))), id="snap-out-narrow"),
+    pytest.param(dict(snap_out=_read_only((2, 5))), id="snap-out-read-only"),
+    pytest.param(dict(counts=np.zeros(2, dtype=np.int64)), id="counts-short"),
+    pytest.param(dict(counts=np.zeros(4, dtype=np.int64)), id="counts-long"),
+    pytest.param(dict(counts=np.zeros(3)), id="counts-float64"),
+])
+def test_record_rows_refuses_arguments_that_would_overrun(change):
+    # either record_rows checks every array once, the compiled one before any
+    # C call: a stand-in library records the calls, and none is made
+    calls = []
+    lib = types.SimpleNamespace(record_rows=lambda *a: calls.append(a) or -1)
+    with pytest.raises(ValueError):
+        backends._recorder(lib)(**_recorder_args(**change))
+    assert calls == []
+    with pytest.raises(ValueError):
+        _kernels_py.record_rows(**_recorder_args(**change))
+
+
+@pytest.mark.parametrize("lo, k", [(-1, 1), (0, 3), (3, 2), (4, 1)])
+def test_record_refuses_events_outside_the_run_or_the_block(lo, k):
+    calls = []
+    lib = types.SimpleNamespace(record_rows=lambda *a: calls.append(a) or -1)
+    record = backends._recorder(lib)(**_recorder_args())
+    with pytest.raises(ValueError):
+        record(lo, k)
+    record(2, 2)  # the last two events: good
+    assert len(calls) == 1

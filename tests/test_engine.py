@@ -80,6 +80,12 @@ def test_process_pool_is_capped_at_the_usable_cores(monkeypatch, kernel):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
+def _use_backend(monkeypatch, name):
+    """Run the engine on the kernel and the recorder of backend ``name``."""
+    monkeypatch.setattr(engine.backends, "advance", backends.available()[name])
+    monkeypatch.setattr(engine.backends, "record_rows", backends.recorders()[name])
+
+
 def test_runs_are_distinct_streams():
     recs = run(small_params(), default_schedule(600, n_snapshots=6))
     assert not np.array_equal(recs[0].max_series, recs[1].max_series)
@@ -183,12 +189,12 @@ def test_custom_rank_ids_are_honored():
     np.testing.assert_array_equal(rec.rank_series[0], rec.max_series)
 
 
-@pytest.mark.parametrize("kernel", sorted(backends.available()))
+@pytest.mark.parametrize("backend", sorted(backends.available()))
 @pytest.mark.parametrize("mode", ["free", "reset", "skewed"])
-def test_records_do_not_depend_on_the_snapshot_days(monkeypatch, kernel, mode):
+def test_records_do_not_depend_on_the_snapshot_days(monkeypatch, backend, mode):
     # the C kernel settles its pending rescale at every stop, rounding as a
     # run straight through does, so stopping at a snapshot day changes nothing
-    monkeypatch.setattr(engine.backends, "advance", backends.available()[kernel])
+    _use_backend(monkeypatch, backend)
     params = small_params(n_agents=70, mode=mode, n_runs=2,
                           epsilon=-0.015 if mode == "skewed" else 0.0)
     with_snaps = default_schedule(600, n_snapshots=40, series_stride=25,
@@ -320,10 +326,12 @@ def _per_event_record(params, sched, run_id):
     return out, counts
 
 
-@pytest.mark.parametrize("kernel", sorted(backends.available()))
+@pytest.mark.parametrize("backend", sorted(backends.available()))
 @pytest.mark.parametrize("mode", ["free", "reset", "skewed"])
-def test_block_recording_matches_one_event_per_call(monkeypatch, kernel, mode):
-    monkeypatch.setattr(engine.backends, "advance", backends.available()[kernel])
+def test_block_recording_matches_one_event_per_call(monkeypatch, backend, mode):
+    # each backend's recorder, on its own kernel's blocks, against numpy calls
+    # on one event at a time
+    _use_backend(monkeypatch, backend)
     params = small_params(mode=mode, epsilon=-0.015 if mode == "skewed" else 0.0,
                           n_runs=2)
     sched = default_schedule(600, n_snapshots=12, series_stride=5,
