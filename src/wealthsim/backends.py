@@ -22,11 +22,16 @@ library's ``format_rows`` or, under the numpy kernel, cell by cell. Either
 solves band systems: ``band_solver(ab, p, q)`` factors a band matrix once
 and returns ``solve(r)``, through the library's ``band_lu`` and
 ``band_solve`` or, under the numpy kernel, by block cyclic reduction. And
-either records a run's sorted blocks: ``record_rows`` checks the run's
-arrays once and returns ``record(lo, k)``, which fills a block's max, Gini,
-ranks, snapshots and histogram counts through the library's ``record_rows``,
-one pass per row, or, under the numpy kernel, in stacked numpy calls; both
-give the same bits.
+either records a run's sorted blocks: ``record_rows`` checks a run's inputs
+once and returns its block, ``record(lo, k)`` and the outputs it fills
+(max, Gini, ranks, snapshots and histogram counts) through the library's
+``record_rows``, one pass per row, or, under the numpy kernel, in stacked
+numpy calls; both give the same bits.
+
+``BACKENDS`` maps each backend that loads here by name: ``_kernels_py``, or
+a namespace of the library's functions and its ``compile_command``. The
+module-level ``advance``, ``write_rows``, ``band_solver`` and ``record_rows``
+are the selected backend's.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import types
 import warnings
 
 import numpy as np
@@ -142,10 +148,9 @@ def _build(cmd) -> str:
 
 
 def _load(cmd):
-    """The library that ``cmd`` compiles, as (advance, write_rows,
-    band_solver, record_rows): an ``advance`` with the numpy kernel's
-    signature and a ``compile_command`` attribute, and the others with
-    those of ``_kernels_py``."""
+    """The library that ``cmd`` compiles, as a backend: its ``advance``,
+    ``write_rows``, ``band_solver`` and ``record_rows``, with the signatures
+    of ``_kernels_py``'s, and ``cmd`` as its ``compile_command``."""
     lib = ctypes.CDLL(_build(cmd))
     fn = lib.advance
     fn.argtypes = _ARGTYPES
@@ -167,8 +172,9 @@ def _load(cmd):
         if bad_t >= 0:
             raise NormalizationDegenerate(bad_total.value, degen, run_id=run, t=bad_t)
 
-    advance.compile_command = tuple(cmd)
-    return advance, _writer(lib), _band_solver(lib), _recorder(lib)
+    return types.SimpleNamespace(advance=advance, write_rows=_writer(lib),
+                                 band_solver=_band_solver(lib), record_rows=_recorder(lib),
+                                 compile_command=tuple(cmd))
 
 
 def _writer(lib):
@@ -243,20 +249,16 @@ def _recorder(lib):
     fn.argtypes = _RECORD_ARGTYPES
     fn.restype = ctypes.c_int64
 
-    def record_rows(block, wp, ticks, snaps, window, rank_ids, max_out, gini_out,
-                    rank_out, snap_out, edges, counts):
-        """``record(lo, k)`` for one run, as ``_kernels_py.record_rows`` gives
-        it, bit for bit. Every array the C calls read or write is checked
+    def record_rows(rows, n, wp, ticks, snaps, window, rank_ids, edges):
+        """(block, record, outputs) for one run, as ``_kernels_py.record_rows``
+        gives them, bit for bit. The inputs the C calls read are checked
         once, here, and each call's events before it runs."""
-        tick_at, snap_at = _kernels_py.checked_recording(
-            block, ticks, snaps, window, rank_ids, max_out, gini_out, rank_out,
-            snap_out, edges, counts)
-        (rows, n), events = block.shape, ticks.shape[0]
-        arrays = (block, ticks, snaps, window, rank_ids, max_out, gini_out, rank_out,
-                  snap_out, edges, counts)
-        (b, tk, sn, wd, rk, mx, gi, ro, so, ed, co) = (a.ctypes.data for a in arrays)
-        wp = float(wp)
-        stride = rank_out.shape[1]
+        block, tick_at, snap_at, outputs = _kernels_py.recording(
+            rows, n, ticks, snaps, window, rank_ids, edges)
+        arrays = (block, ticks, snaps, window, rank_ids, edges, *outputs)
+        (b, tk, sn, wd, rk, ed, mx, gi, ro, so, co) = (a.ctypes.data for a in arrays)
+        wp, events = float(wp), ticks.shape[0]
+        stride = tick_at[-1]  # of the rank output: one entry per tick
 
         def record(lo, k):
             """Record events lo..lo + k - 1 from the first k rows of the block."""
@@ -269,40 +271,31 @@ def _recorder(lib):
                 raise DegenerateInput("gini undefined for an all-zero vector")
 
         record.arrays = arrays  # the pointers above point into these: keep them alive
-        return record
+        return block, record, outputs
 
     return record_rows
 
 
 def _select():
-    """(name, advance, write_rows, band_solver, record_rows) of the C
-    library, built for the host CPU or else portably, or of the pure-Python
-    backend if neither build loads."""
+    """(name, backend) of the C library, built for the host CPU or else
+    portably, or of the pure-Python backend if neither build loads."""
     for cmd in ([_CC, *_NATIVE, *_CFLAGS], [_CC, *_CFLAGS]):
         try:
-            return ("c", *_load(cmd))
+            return "c", _load(cmd)
         except OSError as exc:
             failure = exc
     warnings.warn(f"C kernel unavailable, using the numpy kernel: {failure}",
                   RuntimeWarning, stacklevel=2)
-    return ("python", _kernels_py.advance, _kernels_py.write_rows,
-            _kernels_py.band_solver, _kernels_py.record_rows)
+    return "python", _kernels_py
 
 
-backend_name, advance, write_rows, band_solver, record_rows = _select()
-compile_command = getattr(advance, "compile_command", None)
+backend_name, _backend = _select()
+BACKENDS = {"python": _kernels_py, backend_name: _backend}
+advance, write_rows = _backend.advance, _backend.write_rows
+band_solver, record_rows = _backend.band_solver, _backend.record_rows
+compile_command = getattr(_backend, "compile_command", None)
 
 
 def available():
     """Name -> advance-callable for every backend that loads here."""
-    return {"python": _kernels_py.advance, backend_name: advance}
-
-
-def band_solvers():
-    """Name -> band_solver for every backend that loads here."""
-    return {"python": _kernels_py.band_solver, backend_name: band_solver}
-
-
-def recorders():
-    """Name -> record_rows for every backend that loads here."""
-    return {"python": _kernels_py.record_rows, backend_name: record_rows}
+    return {name: backend.advance for name, backend in BACKENDS.items()}

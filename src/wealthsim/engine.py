@@ -12,11 +12,12 @@ one configured time window, as full vectors are kept only at snapshot days.
 Those days (by default ~75 log-spaced ones, or none) change no other record.
 
 Events are recorded a block at a time: one kernel call advances through the
-next block of event days and stores the excess vector at each. numpy takes
-the row means and sorts the rows, and the backend's ``record_rows`` reads
-the sorted block once for the max, Gini, ranks, snapshots and windowed
-histogram counts. Each record is bit for bit what one kernel call and one
-sort per event would give.
+next block of event days and stores the excess vector at each. The
+backend's ``record_rows`` allocates that block and the run's max, Gini,
+rank, snapshot and windowed histogram outputs; numpy takes the row means and
+sorts the rows, and its ``record`` reads each sorted block once to fill the
+outputs. Each record is bit for bit what one kernel call and one sort per
+event would give.
 
 Because every random draw is a pure function of (seed, run, t, agent),
 records are bit-identical however the runs are scheduled: serially, or as
@@ -50,7 +51,8 @@ class RecordingSchedule:
     ``stats.default_ranks`` for the population size at run time.
     ``histogram_window`` is a half-open [t_start, t_end) day interval; at
     every stride tick inside it the excess vector is accumulated into
-    geometric bins given by ``histogram_edges``.
+    geometric bins given by ``histogram_edges``, which must be edges that
+    ``stats.LogHistogram`` accepts.
     """
 
     snapshot_times: Tuple[int, ...]
@@ -74,6 +76,11 @@ class RecordingSchedule:
             a, b = self.histogram_window
             if b <= a or a < 0:
                 raise ParameterError(f"bad histogram window [{a}, {b})")
+            edges = self.histogram_edges
+            try:  # the edges the run's histogram will be made with
+                stats.LogHistogram(bin_edges=edges, counts=np.zeros(len(edges) + 1, np.int64))
+            except ValueError as exc:
+                raise ParameterError(f"bad histogram edges: {exc}") from None
 
 
 def default_schedule(t_max: int, n_snapshots: int = SNAPSHOT_COUNT,
@@ -176,28 +183,20 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
     is_tick = np.isin(events, tick_times)
     is_snap = np.isin(events, snap_times)
 
-    n_ticks = tick_times.size
-    event_means = np.empty(events.size)
-    max_series = np.empty(n_ticks)
-    gini_series = np.empty(n_ticks)
-    rank_series = np.empty((rank_ids.size, n_ticks))
-    sorted_snapshots = np.empty((snap_times.size, n))
-
     window = schedule.histogram_window
     edges = np.empty(0)
     in_window = np.zeros_like(is_tick)
     if window is not None:
         edges = np.asarray(schedule.histogram_edges, dtype=np.float64)
         in_window = is_tick & (window[0] <= events) & (events < window[1])
-    hist_counts = np.zeros(edges.size + 1, dtype=np.int64)
 
-    block = np.empty((min(max(1, _BLOCK_BYTES // (8 * n)), events.size), n))
-    record = backends.record_rows(block, wp, is_tick, is_snap, in_window, rank_ids,
-                                  max_series, gini_series, rank_series,
-                                  sorted_snapshots, edges, hist_counts)
+    rows = min(max(1, _BLOCK_BYTES // (8 * n)), events.size)
+    block, record, outputs = backends.record_rows(rows, n, wp, is_tick, is_snap,
+                                                  in_window, rank_ids, edges)
+    event_means = np.empty(events.size)
     t_now = 0
-    for lo in range(0, events.size, block.shape[0]):
-        stops = events[lo:lo + block.shape[0]]
+    for lo in range(0, events.size, rows):
+        stops = events[lo:lo + rows]
         blk = block[:stops.size]
         backends.advance(excess, key, run_id, t_now, int(stops[-1]) - t_now,
                          params.beta, params.epsilon, params.w1,
@@ -207,6 +206,7 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
         blk.sort(axis=1)  # ascending from here on
         record(lo, stops.size)
 
+    max_series, gini_series, rank_series, sorted_snapshots, hist_counts = outputs
     histogram = (None if window is None else
                  stats.LogHistogram(bin_edges=edges, counts=hist_counts, window=window))
     return TrajectoryRecord(

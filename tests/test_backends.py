@@ -224,8 +224,7 @@ def test_missing_compiler_falls_back_to_numpy_loudly(tmp_path, monkeypatch):
     monkeypatch.setattr(backends, "_CACHE", str(tmp_path))
     with pytest.warns(RuntimeWarning, match="numpy kernel.*wealthsim-no-such-compiler"):
         selected = backends._select()
-    assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows,
-                        _kernels_py.band_solver, _kernels_py.record_rows)
+    assert selected == ("python", _kernels_py)
     assert os.listdir(tmp_path) == []
 
 
@@ -239,14 +238,13 @@ def test_failing_compile_falls_back_to_numpy_with_the_compiler_message(tmp_path,
     monkeypatch.setattr(backends, "_CACHE", str(tmp_path))
     with pytest.warns(RuntimeWarning, match="numpy kernel.*wealthsim-test: no kernel today"):
         selected = backends._select()
-    assert selected == ("python", _kernels_py.advance, _kernels_py.write_rows,
-                        _kernels_py.band_solver, _kernels_py.record_rows)
+    assert selected == ("python", _kernels_py)
     assert sorted(os.listdir(tmp_path)) == ["cc"]  # no library, no temporary left
 
 
 def test_compile_command_names_the_loaded_build():
     if backends.backend_name == "c":
-        assert backends.compile_command == backends.advance.compile_command
+        assert backends.compile_command == backends.BACKENDS["c"].compile_command
         assert "-ffp-contract=off" in backends.compile_command
     else:
         assert backends.compile_command is None
@@ -284,17 +282,14 @@ def test_a_build_removes_the_libraries_of_other_sources_only(tmp_path, monkeypat
 def test_unsupported_native_flag_falls_back_to_a_portable_build(monkeypatch):
     monkeypatch.setattr(backends, "_NATIVE",
                         ("-march=wealthsim-no-such-cpu", "-mprefer-vector-width=512"))
-    name, advance, write_rows, band_solver, record_rows = backends._select()
-    assert name == "c"
-    assert not set(backends._NATIVE) & set(advance.compile_command)
-    assert write_rows is not _kernels_py.write_rows
-    assert band_solver is not _kernels_py.band_solver
-    assert record_rows is not _kernels_py.record_rows
-    monkeypatch.setattr(backends, "advance", advance)
+    name, backend = backends._select()
+    assert name == "c" and backend is not _kernels_py
+    assert not set(backends._NATIVE) & set(backend.compile_command)
+    monkeypatch.setattr(backends, "advance", backend.advance)
     a = _advance("python", np.full(N, 600.0))
     b = _advance("c", np.full(N, 600.0))
     np.testing.assert_array_equal(a, b)
-    monkeypatch.setattr(backends, "write_rows", write_rows)
+    monkeypatch.setattr(backends, "write_rows", backend.write_rows)
     for case, column in FORMATTER_CASES.items():
         wrong = [(v, got) for v, got in zip(column, c_cells(column)) if got != format_value(v)]
         assert not wrong[:5], case
@@ -414,6 +409,9 @@ def test_formatter_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_pat
     assert not wrong[:5]
 
 
+# record_rows's outputs, in order, as the C record_rows names them.
+RECORD_OUTPUTS = ("max_out", "gini_out", "rank_out", "snap_out", "counts")
+
 # Each array record_rows reads or writes is a malloc'd block of exactly the
 # bytes the call may touch, so that AddressSanitizer sees any access past it.
 _RECORD_CALLS = """
@@ -484,14 +482,12 @@ def test_recorder_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path
     for path, case in zip(paths, cases):
         got = np.load(path + ".out.npz")
         k, n = case["block"].shape
-        want = dict(max_out=np.zeros(case["ticks"].sum()), gini_out=np.zeros(case["ticks"].sum()),
-                    rank_out=np.zeros((case["rank_ids"].size, case["ticks"].sum())),
-                    snap_out=np.zeros((case["snaps"].sum(), n)),
-                    counts=np.zeros(case["edges"].size + 1, dtype=np.int64))
-        _kernels_py.record_rows(np.array(case["block"]), case["wp"], case["ticks"],
-                                case["snaps"], case["window"], case["rank_ids"],
-                                **want, edges=case["edges"])(0, k)
-        for name, expect in want.items():
+        block, record, want = _kernels_py.record_rows(
+            k, n, case["wp"], case["ticks"], case["snaps"], case["window"],
+            case["rank_ids"], case["edges"])
+        block[:] = case["block"]
+        record(0, k)
+        for name, expect in zip(RECORD_OUTPUTS, want, strict=True):
             assert got[name].tobytes() == expect.tobytes(), (path, name)
 
 
@@ -532,9 +528,9 @@ def test_band_solver_refuses_arguments_that_would_overrun(ab, p, q, r):
 def test_every_band_solver_refuses_a_right_hand_side_of_the_wrong_shape(r):
     # with p = q = 2 the numpy solver pads r to whole 2-cell blocks, which
     # would absorb a short r without its own check
-    for band_solver in backends.band_solvers().values():
+    for backend in backends.BACKENDS.values():
         with pytest.raises(ValueError, match="right-hand side"):
-            band_solver(_band(p=2, q=2), 2, 2)(r)
+            backend.band_solver(_band(p=2, q=2), 2, 2)(r)
 
 
 # ---- The two recorders ----
@@ -579,22 +575,16 @@ def recordings(draw, n):
 
 
 def _record(record_rows, case):
-    """The outputs of one run recorded block by block with ``record_rows``."""
+    """The outputs of one run recorded block by block with ``record_rows``,
+    by name. Float outputs start as NaN, so an entry left unwritten shows."""
     values, rows, (ticks, snaps, window) = case["values"], case["rows"], case["flags"]
-    n = values.shape[1]
-    out = dict(max=np.full(ticks.sum(), np.nan), gini=np.full(ticks.sum(), np.nan),
-               ranks=np.full((case["rank_ids"].size, ticks.sum()), np.nan),
-               snaps=np.full((snaps.sum(), n), np.nan),
-               counts=np.zeros(case["edges"].size + 1, dtype=np.int64))
-    block = np.empty((rows, n))
-    record = record_rows(block, case["wp"], ticks, snaps, window, case["rank_ids"],
-                         out["max"], out["gini"], out["ranks"], out["snaps"],
-                         case["edges"], out["counts"])
+    block, record, out = record_rows(rows, values.shape[1], case["wp"], ticks, snaps,
+                                     window, case["rank_ids"], case["edges"])
     for lo in range(0, len(values), rows):  # the last block may be partly full
         k = min(rows, len(values) - lo)
         block[:k] = values[lo:lo + k]
         record(lo, k)
-    return out
+    return dict(zip(RECORD_OUTPUTS, out, strict=True))
 
 
 @needs_both
@@ -604,7 +594,7 @@ def _record(record_rows, case):
 def test_compiled_recorder_matches_the_numpy_recorder_bit_for_bit(n, data):
     case = data.draw(recordings(n))
     want = _record(_kernels_py.record_rows, case)
-    got = _record(backends.recorders()["c"], case)
+    got = _record(backends.BACKENDS["c"].record_rows, case)
     for name, expect in want.items():
         assert got[name].tobytes() == expect.tobytes(), name
 
@@ -616,75 +606,57 @@ def test_window_counts_put_nan_last_as_searchsorted_does():
     edges = np.array([1.0, 2.0, np.nan, 0.75, 5.0])
     case = dict(values=row[None, :], rows=1, rank_ids=np.array([1, 6]), edges=edges,
                 wp=0.0, flags=(np.zeros(1, bool), np.zeros(1, bool), np.ones(1, bool)))
-    for record_rows in backends.recorders().values():
-        counts = _record(record_rows, case)["counts"]
+    for backend in backends.BACKENDS.values():
+        counts = _record(backend.record_rows, case)["counts"]
         below = np.searchsorted(row, edges, side="left")
         assert counts.tolist() == np.diff(below, prepend=0, append=row.size).tolist()
 
 
-@pytest.mark.parametrize("name", sorted(backends.recorders()))
+@pytest.mark.parametrize("name", sorted(backends.BACKENDS))
 def test_a_tick_with_a_zero_total_is_degenerate_on_every_recorder(name):
     values = np.zeros((3, 9))
     values[0] = np.arange(9.0)  # one good tick before it, in the same block
     case = dict(values=values, rows=3, rank_ids=np.array([1, 9]), edges=np.ones(1),
                 wp=0.0, flags=(np.ones(3, bool), np.zeros(3, bool), np.zeros(3, bool)))
     with pytest.raises(DegenerateInput, match="all-zero"):
-        _record(backends.recorders()[name], case)
+        _record(backends.BACKENDS[name].record_rows, case)
 
 
 def _recorder_args(events=4, rows=2, n=5, **change):
     """Good arguments for record_rows, as a dict, with ``change`` applied."""
-    ticks = np.array([True, False, True, True])[:events]
-    args = dict(block=np.zeros((rows, n)), wp=400.0, ticks=ticks,
+    args = dict(rows=rows, n=n, wp=400.0, ticks=np.array([True, False, True, True])[:events],
                 snaps=np.array([False, True, True, False])[:events],
                 window=np.ones(events, bool), rank_ids=np.array([1, n]),
-                max_out=np.empty(3), gini_out=np.empty(3), rank_out=np.empty((2, 3)),
-                snap_out=np.empty((2, n)), edges=np.array([1.0, 2.0]),
-                counts=np.zeros(3, dtype=np.int64))
+                edges=np.array([1.0, 2.0]))
     args.update(change)
     return args
 
 
 @pytest.mark.parametrize("change", [
-    pytest.param(dict(block=np.zeros((2, 10))[:, ::2]), id="block-strided"),
-    pytest.param(dict(block=np.zeros((2, 5), dtype=np.float32)), id="block-float32"),
-    pytest.param(dict(block=np.zeros(5)), id="block-1-d"),
-    pytest.param(dict(block=np.zeros((2, 0))), id="block-of-empty-rows"),
+    pytest.param(dict(n=0), id="block-of-empty-rows"),
+    pytest.param(dict(rows=0), id="block-of-no-rows"),
     pytest.param(dict(ticks=np.ones(3, bool)), id="ticks-short"),
     pytest.param(dict(snaps=np.zeros(5, bool)), id="snaps-long"),
     pytest.param(dict(window=np.ones(4, np.uint8)), id="window-uint8"),
     pytest.param(dict(rank_ids=np.array([0, 5])), id="rank-0"),
     pytest.param(dict(rank_ids=np.array([1, 6])), id="rank-past-N"),
     pytest.param(dict(rank_ids=np.array([1, 5], dtype=np.int32)), id="ranks-int32"),
-    pytest.param(dict(max_out=np.empty(2)), id="max-short"),
-    pytest.param(dict(gini_out=np.empty(2)), id="gini-short"),
-    pytest.param(dict(rank_out=np.empty((2, 2))), id="rank-out-short"),
-    pytest.param(dict(rank_out=np.empty((1, 3))), id="rank-out-rows"),
-    pytest.param(dict(rank_out=np.empty((2, 6))[:, ::2]), id="rank-out-strided"),
-    pytest.param(dict(snap_out=np.empty((1, 5))), id="snap-out-short"),
-    pytest.param(dict(snap_out=np.empty((2, 4))), id="snap-out-narrow"),
-    pytest.param(dict(snap_out=_read_only((2, 5))), id="snap-out-read-only"),
-    pytest.param(dict(counts=np.zeros(2, dtype=np.int64)), id="counts-short"),
-    pytest.param(dict(counts=np.zeros(4, dtype=np.int64)), id="counts-long"),
-    pytest.param(dict(counts=np.zeros(3)), id="counts-float64"),
+    pytest.param(dict(edges=np.array([1.0, 2.0], dtype=np.float32)), id="edges-float32"),
 ])
 def test_record_rows_refuses_arguments_that_would_overrun(change):
-    # either record_rows checks every array once, the compiled one before any
-    # C call: a stand-in library records the calls, and none is made
-    calls = []
-    lib = types.SimpleNamespace(record_rows=lambda *a: calls.append(a) or -1)
-    with pytest.raises(ValueError):
-        backends._recorder(lib)(**_recorder_args(**change))
-    assert calls == []
-    with pytest.raises(ValueError):
-        _kernels_py.record_rows(**_recorder_args(**change))
+    # either record_rows checks the run's inputs once, before it allocates
+    # the block and the outputs that fit them
+    lib = types.SimpleNamespace(record_rows=lambda *a: pytest.fail("a C call was made"))
+    for record_rows in (backends._recorder(lib), _kernels_py.record_rows):
+        with pytest.raises(ValueError):
+            record_rows(**_recorder_args(**change))
 
 
 @pytest.mark.parametrize("lo, k", [(-1, 1), (0, 3), (3, 2), (4, 1)])
 def test_record_refuses_events_outside_the_run_or_the_block(lo, k):
     calls = []
     lib = types.SimpleNamespace(record_rows=lambda *a: calls.append(a) or -1)
-    record = backends._recorder(lib)(**_recorder_args())
+    _, record, _ = backends._recorder(lib)(**_recorder_args())
     with pytest.raises(ValueError):
         record(lo, k)
     record(2, 2)  # the last two events: good

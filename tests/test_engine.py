@@ -82,8 +82,8 @@ def test_process_pool_is_capped_at_the_usable_cores(monkeypatch, kernel):
 
 def _use_backend(monkeypatch, name):
     """Run the engine on the kernel and the recorder of backend ``name``."""
-    monkeypatch.setattr(engine.backends, "advance", backends.available()[name])
-    monkeypatch.setattr(engine.backends, "record_rows", backends.recorders()[name])
+    monkeypatch.setattr(engine.backends, "advance", backends.BACKENDS[name].advance)
+    monkeypatch.setattr(engine.backends, "record_rows", backends.BACKENDS[name].record_rows)
 
 
 def test_runs_are_distinct_streams():
@@ -136,6 +136,8 @@ def test_initial_tick_is_uniform_population():
              histogram_window=(10, 10)),
         dict(snapshot_times=(10,), histogram_edges=(1.0, 2.0),
              histogram_window=(-5, 3)),
+        dict(snapshot_times=(10,), histogram_edges=(1.0,), histogram_window=(0, 10)),
+        dict(snapshot_times=(10,), histogram_edges=(2.0, 1.0), histogram_window=(0, 10)),
     ],
 )
 def test_schedule_validation(kwargs):
@@ -189,25 +191,44 @@ def test_custom_rank_ids_are_honored():
     np.testing.assert_array_equal(rec.rank_series[0], rec.max_series)
 
 
-@pytest.mark.parametrize("backend", sorted(backends.available()))
-@pytest.mark.parametrize("mode", ["free", "reset", "skewed"])
-def test_records_do_not_depend_on_the_snapshot_days(monkeypatch, backend, mode):
+@pytest.mark.parametrize("backend", sorted(backends.BACKENDS))
+@pytest.mark.parametrize("mode, change, sched_change", [
+    pytest.param("free", {}, {}, id="free"),
+    pytest.param("reset", {}, {}, id="reset"),
+    pytest.param("skewed", {}, {}, id="skewed"),
+    pytest.param("reset", {}, dict(rank_ids=()), id="reset-no-ranks"),
+    pytest.param("reset", {}, dict(histogram_window=None), id="reset-no-window"),
+    pytest.param("reset", dict(t_max=0), {}, id="reset-t_max-0"),
+    pytest.param("reset", dict(n_agents=1), {}, id="reset-one-agent"),
+])
+def test_records_do_not_depend_on_the_snapshot_days(monkeypatch, backend, mode, change,
+                                                     sched_change):
     # the C kernel settles its pending rescale at every stop, rounding as a
-    # run straight through does, so stopping at a snapshot day changes nothing
+    # run straight through does, so stopping at a snapshot day changes nothing;
+    # every output the recorder allocates has its shape, empty ones too
     _use_backend(monkeypatch, backend)
-    params = small_params(n_agents=70, mode=mode, n_runs=2,
-                          epsilon=-0.015 if mode == "skewed" else 0.0)
-    with_snaps = default_schedule(600, n_snapshots=40, series_stride=25,
-                                  histogram_edges=tuple(np.geomspace(1e-4, 1e7, 23)),
-                                  histogram_window=(100, 501))
-    assert set(with_snaps.snapshot_times) - set(range(0, 601, 25))
+    params = small_params(**{"n_agents": 70, "mode": mode, "n_runs": 2,
+                             "epsilon": -0.015 if mode == "skewed" else 0.0, **change})
+    t_max, n = params.t_max, params.n_agents
+    with_snaps = default_schedule(t_max, n_snapshots=40, series_stride=25, **{
+        "histogram_edges": tuple(np.geomspace(1e-4, 1e7, 23)),
+        "histogram_window": (100, 501), **sched_change})
+    assert t_max == 0 or set(with_snaps.snapshot_times) - set(range(0, t_max + 1, 25))
     without = dataclasses.replace(with_snaps, snapshot_times=())
+    n_ticks = t_max // 25 + 1
+    n_ranks = len(stats.default_ranks(n) if with_snaps.rank_ids is None
+                  else with_snaps.rank_ids)
     for a, b in zip(run(params, with_snaps), run(params, without), strict=True):
-        assert b.sorted_snapshots.shape == (0, 70)
+        for rec, n_snaps in ((a, len(with_snaps.snapshot_times)), (b, 0)):
+            assert rec.max_series.shape == rec.gini_series.shape == (n_ticks,)
+            assert rec.rank_series.shape == (n_ranks, n_ticks)
+            assert rec.sorted_snapshots.shape == (n_snaps, n)
+            assert (rec.histogram is None) == (with_snaps.histogram_window is None)
         for field in ("series_times", "mean_series", "max_series", "gini_series",
                       "rank_ids", "rank_series"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
-        assert a.histogram.counts.tobytes() == b.histogram.counts.tobytes()
+        if a.histogram is not None:
+            assert a.histogram.counts.tobytes() == b.histogram.counts.tobytes()
 
 
 def _windowed_record(window):

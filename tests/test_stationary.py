@@ -199,8 +199,8 @@ def _centred_grid(m):
 def _assert_every_band_solver_solves(op):
     r = np.random.default_rng(7).random(op.grid.m)
     want = np.linalg.solve(st.SHIFT * np.eye(op.grid.m) - op.to_dense(), r)
-    for name, band_solver in backends.band_solvers().items():
-        got = band_solver(*st._shifted_band(op))(r)
+    for name, backend in backends.BACKENDS.items():
+        got = backend.band_solver(*st._shifted_band(op))(r)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(),
                                    err_msg=name)
 
@@ -227,12 +227,12 @@ def test_band_solvers_on_grids_about_as_wide_as_the_band(m, eps):
     _assert_every_band_solver_solves(st.build_operator(_centred_grid(m), 0.06, eps))
 
 
-@pytest.mark.skipif(len(backends.band_solvers()) < 2, reason="C library not built")
+@pytest.mark.skipif(len(backends.BACKENDS) < 2, reason="C library not built")
 def test_eigenvalues_agree_across_backends(small_grid, monkeypatch):
     op = st.build_operator(small_grid, 0.06, -0.03)
     values = {}
-    for name, band_solver in backends.band_solvers().items():
-        monkeypatch.setattr(backends, "band_solver", band_solver)
+    for name, backend in backends.BACKENDS.items():
+        monkeypatch.setattr(backends, "band_solver", backend.band_solver)
         values[name], _, _ = st.leading_eigenpair(op, n_modes=3)
     np.testing.assert_allclose(values["c"], values["python"], rtol=0, atol=1e-14)
 
