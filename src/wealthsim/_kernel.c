@@ -38,7 +38,7 @@
  * sums the total as numpy's pairwise summation does and the rank-weighted
  * sum in one serial chain a row, as numpy's matmul does on a reversed view
  * (again without contraction), and runs several rows' chains interleaved.
- * Histogram counts come from a merge walk of the row against the edges.
+ * One merge walk counts each snapshot's histogram and the window's.
  *
  * band_lu and band_solve factor and solve an m x m band matrix with p
  * sub- and q super-diagonals (Golub & Van Loan, Matrix Computations,
@@ -523,23 +523,42 @@ static int gini_group(const double *const *rows, int m, int64_t n, double wp,
     return -1;
 }
 
-/* Record the k ascending rows of n values in block, each just sorted as
- * numpy sorts (NaN last). The i-th row flagged in ticks, plus wp, puts its
- * top value in max_out[i], its Gini in gini_out[i] and its value at each
- * 1-based descending rank rank_ids[r] in rank_out[r * rank_stride + i];
- * the i-th flagged in snaps goes to row i
- * of snap_out (n values a row), reversed, plus wp; each one flagged in
- * window adds to counts[0..n_edges] how many of its values lie below
- * edges[0], in each [edges[j - 1], edges[j]), and at or above the last, by
- * a merge walk that gives numpy's searchsorted(side="left") for any edges.
- * Returns -1, or the position among the tick rows of one whose total is 0,
- * with the Gini of that row and of those after it unwritten. */
+/* Add to counts[0..n_edges] how many of the n values (x[i] + shift) - shift
+ * lie below edges[0], in each [edges[j - 1], edges[j]), and at or above the
+ * last, as numpy's searchsorted(side="left") counts for any edges. x ascends
+ * (NaN last) and rounding is monotone, so those values do too: a merge walk. */
+static void bin_row(const double *x, int64_t n, double shift, const double *edges,
+                    int64_t n_edges, int64_t *counts)
+{
+    int64_t at = 0, below = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        while (at > 0 && !before((x[at - 1] + shift) - shift, edges[e]))
+            at--;
+        while (at + 8 <= n && before((x[at + 7] + shift) - shift, edges[e]))
+            at += 8; /* the values ascend: all 8 lie below */
+        while (at < n && before((x[at] + shift) - shift, edges[e]))
+            at++;
+        counts[e] += at - below;
+        below = at;
+    }
+    counts[n_edges] += n - below;
+}
+
+/* Record the k ascending rows of n values in block, each just sorted as numpy
+ * sorts (NaN last). The i-th row flagged in ticks, plus wp, puts its top value
+ * in max_out[i], its Gini in gini_out[i] and its value at each 1-based
+ * descending rank rank_ids[r] in rank_out[r * rank_stride + i]; the i-th
+ * flagged in snaps goes to row i of snap_out (n values a row), reversed, plus
+ * wp, and its bin_row counts less wp, as exported, to row i of snap_counts
+ * (n_edges + 1 a row); each one flagged in window adds its bin_row counts to
+ * counts[0..n_edges]. Returns -1, or the position among the tick rows of one
+ * whose total is 0, with the Gini of that row and those after it unwritten. */
 int64_t record_rows(const double *block, int64_t k, int64_t n, double wp,
                     const char *ticks, const char *snaps, const char *window,
                     const int64_t *rank_ids, int64_t n_ranks, double *max_out,
                     double *gini_out, double *rank_out, int64_t rank_stride,
                     double *snap_out, const double *edges, int64_t n_edges,
-                    int64_t *counts)
+                    int64_t *counts, int64_t *snap_counts)
 {
     const double *group[GROUP];
     int64_t tick = 0, first = -1;
@@ -550,21 +569,11 @@ int64_t record_rows(const double *block, int64_t k, int64_t n, double wp,
             for (int64_t j = 0; j < n; j++)
                 snap_out[j] = x[n - 1 - j] + wp;
             snap_out += n;
+            bin_row(x, n, wp, edges, n_edges, snap_counts);
+            snap_counts += n_edges + 1;
         }
-        if (window[i]) {
-            int64_t at = 0, below = 0;
-            for (int64_t e = 0; e < n_edges; e++) {
-                while (at > 0 && !before(x[at - 1], edges[e]))
-                    at--;
-                while (at + 8 <= n && before(x[at + 7], edges[e]))
-                    at += 8; /* the row ascends: all 8 lie below */
-                while (at < n && before(x[at], edges[e]))
-                    at++;
-                counts[e] += at - below;
-                below = at;
-            }
-            counts[n_edges] += n - below;
-        }
+        if (window[i])
+            bin_row(x, n, 0.0, edges, n_edges, counts);
         if (ticks[i]) {
             max_out[tick] = x[n - 1] + wp;
             for (int64_t r = 0; r < n_ranks; r++)

@@ -74,7 +74,8 @@ def recording(rows, n, ticks, snaps, window, rank_ids, edges):
     tick_at, snap_at = [0, *np.cumsum(ticks).tolist()], [0, *np.cumsum(snaps).tolist()]
     outputs = (np.full(tick_at[-1], np.nan), np.full(tick_at[-1], np.nan),
                np.full((rank_ids.size, tick_at[-1]), np.nan),
-               np.full((snap_at[-1], n), np.nan), np.zeros(edges.size + 1, dtype=np.int64))
+               np.full((snap_at[-1], n), np.nan), np.zeros(edges.size + 1, dtype=np.int64),
+               np.zeros((snap_at[-1], edges.size + 1), dtype=np.int64))
     return np.empty((rows, n)), tick_at, snap_at, outputs
 
 
@@ -83,18 +84,18 @@ def record_rows(rows, n, wp, ticks, snaps, window, rank_ids, edges):
     records events lo..lo + k - 1 from the first k of the ``rows`` rows of
     ``block``, each just sorted ascending, plus ``wp``.
 
-    ``ticks``, ``snaps`` and ``window`` flag the run's events, and
-    ``outputs`` is (max, gini, ranks, snapshots, counts). The i-th tick
+    ``ticks``, ``snaps`` and ``window`` flag the run's events, and ``outputs``
+    is (max, gini, ranks, snapshots, counts, snapshot counts). The i-th tick
     gives ``max[i]``, ``gini[i]`` (``stats._gini_sorted``) and
-    ``ranks[:, i]``, its values at the 1-based descending ranks
-    ``rank_ids``; the i-th snapshot is ``snapshots[i]``, descending. Each
-    window event adds its ``stats.bin_excess`` counts against ``edges`` to
-    ``counts``. A tick whose total is 0 raises DegenerateInput; inputs that
-    ``recording`` refuses raise ValueError.
+    ``ranks[:, i]``, its values at the 1-based descending ranks ``rank_ids``;
+    the i-th snapshot gives ``snapshots[i]``, descending, and ``snapshot
+    counts[i]``, its ``stats.bin_excess`` counts against ``edges`` less ``wp``.
+    Each window event adds its counts to ``counts``. A tick whose total is 0
+    raises DegenerateInput; inputs that ``recording`` refuses raise ValueError.
     """
     block, tick_at, snap_at, outputs = recording(rows, n, ticks, snaps, window,
                                                  rank_ids, edges)
-    max_out, gini_out, rank_out, snap_out, counts = outputs
+    max_out, gini_out, rank_out, snap_out, counts, snap_counts = outputs
     ranks = np.arange(1, n + 1, dtype=np.float64)
 
     def record(lo, k):
@@ -108,7 +109,10 @@ def record_rows(rows, n, wp, ticks, snaps, window, rank_ids, edges):
         # on the reversed view, as on one reversed row: the same bits
         gini_out[at] = stats._gini_sorted(tick_desc[:, ::-1], ranks)
         rank_out[:, at] = tick_desc[:, rank_ids - 1].T
-        snap_out[snap_at[lo]:snap_at[lo + k]] = desc[snaps[here]]
+        shots = slice(snap_at[lo], snap_at[lo + k])
+        snap_out[shots] = desc[snaps[here]]
+        # less wp, as exported: rounding is monotone, so reversed, they ascend
+        snap_counts[shots] = stats.bin_excess(edges, (snap_out[shots] - wp)[:, ::-1])
         if window[here].any():
             counts[:] += stats.bin_excess(edges, blk[_rows(window[here])]).sum(axis=0)
 

@@ -24,9 +24,9 @@ and returns ``solve(r)``, through the library's ``band_lu`` and
 ``band_solve`` or, under the numpy kernel, by block cyclic reduction. And
 either records a run's sorted blocks: ``record_rows`` checks a run's inputs
 once and returns its block, ``record(lo, k)`` and the outputs it fills
-(max, Gini, ranks, snapshots and histogram counts) through the library's
-``record_rows``, one pass per row, or, under the numpy kernel, in stacked
-numpy calls; both give the same bits.
+(max, Gini, ranks, snapshots, the window's and each snapshot's histogram
+counts) through the library's ``record_rows``, one pass per row, or, under
+the numpy kernel, in stacked numpy calls; both give the same bits.
 
 ``BACKENDS`` maps each backend that loads here by name: ``_kernels_py``, or
 a namespace of the library's functions and its ``compile_command``. The
@@ -91,7 +91,7 @@ _RECORD_ARGTYPES = (
     ctypes.c_double, *[ctypes.c_void_p] * 4,             # wp, ticks, snaps, window, rank_ids
     ctypes.c_int64, *[ctypes.c_void_p] * 3,              # n_ranks, max_out, gini_out, rank_out
     ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,    # rank_stride, snap_out, edges
-    ctypes.c_int64, ctypes.c_void_p,                     # n_edges, counts
+    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,    # n_edges, counts, snap_counts
 )
 
 
@@ -256,7 +256,7 @@ def _recorder(lib):
         block, tick_at, snap_at, outputs = _kernels_py.recording(
             rows, n, ticks, snaps, window, rank_ids, edges)
         arrays = (block, ticks, snaps, window, rank_ids, edges, *outputs)
-        (b, tk, sn, wd, rk, ed, mx, gi, ro, so, co) = (a.ctypes.data for a in arrays)
+        (b, tk, sn, wd, rk, ed, mx, gi, ro, so, co, sc) = (a.ctypes.data for a in arrays)
         wp, events = float(wp), ticks.shape[0]
         stride = tick_at[-1]  # of the rank output: one entry per tick
 
@@ -267,7 +267,8 @@ def _recorder(lib):
                                  f"rows of 0..{events - 1}")
             t, s = tick_at[lo], snap_at[lo]
             if fn(b, k, n, wp, tk + lo, sn + lo, wd + lo, rk, rank_ids.size, mx + 8 * t,
-                  gi + 8 * t, ro + 8 * t, stride, so + 8 * n * s, ed, edges.size, co) >= 0:
+                  gi + 8 * t, ro + 8 * t, stride, so + 8 * n * s, ed, edges.size, co,
+                  sc + 8 * (edges.size + 1) * s) >= 0:
                 raise DegenerateInput("gini undefined for an all-zero vector")
 
         record.arrays = arrays  # the pointers above point into these: keep them alive

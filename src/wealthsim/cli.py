@@ -118,9 +118,9 @@ class ExperimentConfig(ModelParams):
                                      n_decades * self.hist_bins_per_decade)
 
     def schedule(self) -> engine.RecordingSchedule:
-        """simulate's recording: the window, if set, and snapshots if exported."""
+        """simulate's recording: the window if set, snapshots if exported, and
+        the bin edges if either histogram is."""
         window = None
-        edges = None
         if (self.window_start, self.window_end) != (0, 0):
             window = (self.window_start, self.window_end)
             # the first stride tick at or after window_start
@@ -131,7 +131,7 @@ class ExperimentConfig(ModelParams):
                     f"{self.window_end}) holds no stride tick (a multiple of "
                     f"series_stride = {self.series_stride}) in [0, t_max = "
                     f"{self.t_max}]")
-            edges = self.histogram_edges()
+        edges = self.histogram_edges() if window is not None or self.export_histograms else None
         exported = self.export_snapshots or self.export_histograms
         return engine.default_schedule(
             self.t_max, n_snapshots=self.snapshot_count if exported else 0,
@@ -374,8 +374,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
                      [np.arange(1, cfg.n_agents + 1, dtype=np.int64), *rec.sorted_snapshots],
                      "rank=1-based sorted position, t*=currency", run=str(r))
         if cfg.export_histograms:
-            # snapshots descend and subtracting wp rounds monotonically: reversed, they ascend
-            counts = stats.bin_excess(edges, (rec.sorted_snapshots - cfg.wp)[:, ::-1])
+            counts = rec.snapshot_counts
             ex.table(f"hist_run{r:02d}.csv", "histogram",
                      ["t", "bin_lo", "bin_hi", "count"],
                      [np.repeat(rec.snapshot_times, lo.size), np.tile(lo, len(counts)),

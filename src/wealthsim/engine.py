@@ -7,14 +7,15 @@ kernel backend and records observables at two granularities:
   ranks) every ``series_stride`` days, and
 * full descending-sorted wealth snapshots at the schedule's snapshot days.
 
-Optionally, an excess-wealth histogram is streamed at every stride tick inside
-one configured time window, as full vectors are kept only at snapshot days.
-Those days (by default ~75 log-spaced ones, or none) change no other record.
+Given bin edges, each snapshot's excess is counted into a histogram, and so is
+the excess at every stride tick inside an optional time window, as full vectors
+are kept only at snapshot days. Those days (by default ~75 log-spaced ones, or
+none) change no other record.
 
 Events are recorded a block at a time: one kernel call advances through the
 next block of event days and stores the excess vector at each. The
 backend's ``record_rows`` allocates that block and the run's max, Gini,
-rank, snapshot and windowed histogram outputs; numpy takes the row means and
+rank, snapshot and histogram outputs; numpy takes the row means and
 sorts the rows, and its ``record`` reads each sorted block once to fill the
 outputs. Each record is bit for bit what one kernel call and one sort per
 event would give.
@@ -49,10 +50,10 @@ class RecordingSchedule:
     ``snapshot_times`` must be strictly increasing. ``rank_ids`` are 1-based
     ranks into the descending sort (rank 1 = wealthiest); None selects
     ``stats.default_ranks`` for the population size at run time.
-    ``histogram_window`` is a half-open [t_start, t_end) day interval; at
-    every stride tick inside it the excess vector is accumulated into
-    geometric bins given by ``histogram_edges``, which must be edges that
-    ``stats.LogHistogram`` accepts.
+    ``histogram_edges``, if given, must be edges that ``stats.LogHistogram``
+    accepts; each snapshot's excess (less wp) is counted into their bins, and
+    so, at every stride tick inside ``histogram_window``, a half-open
+    [t_start, t_end) day interval that needs the edges, is the excess vector.
     """
 
     snapshot_times: Tuple[int, ...]
@@ -76,8 +77,8 @@ class RecordingSchedule:
             a, b = self.histogram_window
             if b <= a or a < 0:
                 raise ParameterError(f"bad histogram window [{a}, {b})")
-            edges = self.histogram_edges
-            try:  # the edges the run's histogram will be made with
+        if (edges := self.histogram_edges) is not None:
+            try:  # the edges the run's histograms will be made with
                 stats.LogHistogram(bin_edges=edges, counts=np.zeros(len(edges) + 1, np.int64))
             except ValueError as exc:
                 raise ParameterError(f"bad histogram edges: {exc}") from None
@@ -115,6 +116,7 @@ class TrajectoryRecord:
     rank_series: np.ndarray           # (n_ranks, n_ticks) sorted wealth
     snapshot_times: np.ndarray
     sorted_snapshots: np.ndarray      # (n_snapshots, N) descending wealth
+    snapshot_counts: np.ndarray       # (n_snapshots, n_edges + 1) excess per bin
     histogram: Optional[stats.LogHistogram] = None  # the windowed one, if any
 
 
@@ -186,8 +188,9 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
     window = schedule.histogram_window
     edges = np.empty(0)
     in_window = np.zeros_like(is_tick)
-    if window is not None:
+    if schedule.histogram_edges is not None:
         edges = np.asarray(schedule.histogram_edges, dtype=np.float64)
+    if window is not None:
         in_window = is_tick & (window[0] <= events) & (events < window[1])
 
     rows = min(max(1, _BLOCK_BYTES // (8 * n)), events.size)
@@ -206,7 +209,7 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
         blk.sort(axis=1)  # ascending from here on
         record(lo, stops.size)
 
-    max_series, gini_series, rank_series, sorted_snapshots, hist_counts = outputs
+    max_series, gini_series, rank_series, sorted_snapshots, hist_counts, snap_counts = outputs
     histogram = (None if window is None else
                  stats.LogHistogram(bin_edges=edges, counts=hist_counts, window=window))
     return TrajectoryRecord(
@@ -214,5 +217,5 @@ def _run_single(params: ModelParams, schedule: RecordingSchedule,
         series_times=tick_times, mean_series=wp + event_means[is_tick],
         max_series=max_series, gini_series=gini_series, rank_ids=rank_ids,
         rank_series=rank_series, snapshot_times=snap_times,
-        sorted_snapshots=sorted_snapshots, histogram=histogram,
+        sorted_snapshots=sorted_snapshots, snapshot_counts=snap_counts, histogram=histogram,
     )

@@ -22,6 +22,7 @@ from test_tableio import FORMATTER_CASES, INT64, c_cells
 
 from wealthsim import _kernels_py, backends, stats
 from wealthsim.errors import DegenerateInput, NormalizationDegenerate
+from wealthsim.model import DEGENERACY_RELATIVE
 from wealthsim.rng import MAX_DAYS, MAX_RUNS, stream_key
 from wealthsim.tableio import format_value
 
@@ -410,7 +411,7 @@ def test_formatter_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_pat
 
 
 # record_rows's outputs, in order, as the C record_rows names them.
-RECORD_OUTPUTS = ("max_out", "gini_out", "rank_out", "snap_out", "counts")
+RECORD_OUTPUTS = ("max_out", "gini_out", "rank_out", "snap_out", "counts", "snap_counts")
 
 # Each array record_rows reads or writes is a malloc'd block of exactly the
 # bytes the call may touch, so that AddressSanitizer sees any access past it.
@@ -425,15 +426,16 @@ fn.restype = ctypes.c_int64
 fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
                *[ctypes.c_void_p] * 4, ctypes.c_int64, *[ctypes.c_void_p] * 3,
                ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-               ctypes.c_void_p)
+               ctypes.c_void_p, ctypes.c_void_p)
 for path in sys.argv[2:]:
     case = dict(np.load(path))
     k, n = case["block"].shape
-    ticks = int(case["ticks"].sum())
+    ticks, snaps = int(case["ticks"].sum()), int(case["snaps"].sum())
     case.update(max_out=np.zeros(ticks), gini_out=np.zeros(ticks),
                 rank_out=np.zeros((case["rank_ids"].size, ticks)),
-                snap_out=np.zeros((int(case["snaps"].sum()), n)),
-                counts=np.zeros(case["edges"].size + 1, dtype=np.int64))
+                snap_out=np.zeros((snaps, n)),
+                counts=np.zeros(case["edges"].size + 1, dtype=np.int64),
+                snap_counts=np.zeros((snaps, case["edges"].size + 1), dtype=np.int64))
     wp = float(case.pop("wp"))
     at = {name: libc.malloc(a.nbytes) for name, a in case.items()}
     for name, a in case.items():
@@ -441,11 +443,12 @@ for path in sys.argv[2:]:
     bad = fn(at["block"], k, n, wp, at["ticks"], at["snaps"],
              at["window"], at["rank_ids"], case["rank_ids"].size, at["max_out"],
              at["gini_out"], at["rank_out"], ticks, at["snap_out"], at["edges"],
-             case["edges"].size, at["counts"])
+             case["edges"].size, at["counts"], at["snap_counts"])
     assert bad == -1, bad
     out = {name: np.frombuffer(ctypes.string_at(at[name], case[name].nbytes),
                                dtype=case[name].dtype).reshape(case[name].shape)
-           for name in ("max_out", "gini_out", "rank_out", "snap_out", "counts")}
+           for name in ("max_out", "gini_out", "rank_out", "snap_out", "counts",
+                        "snap_counts")}
     np.savez(path + ".out.npz", **out)
     for p in at.values():
         libc.free(p)
@@ -489,6 +492,97 @@ def test_recorder_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path
         record(0, k)
         for name, expect in zip(RECORD_OUTPUTS, want, strict=True):
             assert got[name].tobytes() == expect.tobytes(), (path, name)
+
+
+# Each array advance reads or writes is a malloc'd block of exactly its size,
+# out one of len(stops) rows of n values, or NULL when the case has none.
+_ADVANCE_CALLS = """
+import ctypes, sys
+import numpy as np
+lib, libc = ctypes.CDLL(sys.argv[1]), ctypes.CDLL(None)
+libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, (ctypes.c_size_t,)
+libc.free.argtypes = (ctypes.c_void_p,)
+fn = lib.advance
+fn.restype = ctypes.c_int64
+fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64,
+               ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+               *[ctypes.c_double] * 3, ctypes.c_int, ctypes.c_int,
+               *[ctypes.c_double] * 2, ctypes.c_void_p)
+for path in sys.argv[2:]:
+    case = dict(np.load(path))
+    arrays = {name: case[name] for name in ("excess", "stops", "out", "bad_total")
+              if name in case}
+    at = {name: libc.malloc(a.nbytes) for name, a in arrays.items()}
+    for name, a in arrays.items():
+        ctypes.memmove(at[name], a.ctypes.data, a.nbytes)
+    beta, epsilon, w1, target_total, degen = case["reals"].tolist()
+    key, run, t0, skewed, coupled = case["ints"].tolist()
+    day = fn(at["excess"], case["excess"].size, key, run, t0, at["stops"],
+             case["stops"].size, at.get("out"), beta, epsilon, w1, skewed, coupled,
+             target_total, degen, at["bad_total"])
+    out = {name: np.frombuffer(ctypes.string_at(at[name], a.nbytes),
+                               dtype=a.dtype).reshape(a.shape)
+           for name, a in arrays.items()}
+    np.savez(path + ".out.npz", day=day, **out)
+    for p in at.values():
+        libc.free(p)
+"""
+
+
+def _advance_cases():
+    """(name, case) of every advance call the sanitizer test makes: each mode
+    and lane tail through one stop and many, storing rows or not, and the
+    coupled modes collapsing inside a block (a negative target flips the
+    sign at the rescale that ends day 3, so day 4 returns early)."""
+    t0, many = 3, np.array([3, 8, 9, 15])
+    for mode, kw in MODES.items():
+        for n in (1, 2, 15, 16, 17, 31, 33):
+            good = 600.0 * n
+            calls = [("one", many[-1:], True, good), ("many", many, True, good),
+                     ("many-null-out", many, False, good)]
+            if kw["coupled"]:
+                calls.append(("collapse", many, True, -1.0))
+            for name, stops, store, target in calls:
+                case = dict(excess=np.full(n, 600.0), stops=stops, bad_total=np.zeros(1),
+                            reals=np.array([0.06, kw["epsilon"], 1000.0, target,
+                                            target * DEGENERACY_RELATIVE]),
+                            ints=np.array([KEY, 5, t0, kw["skewed"], kw["coupled"]],
+                                          dtype=np.uint64))
+                if store:
+                    case["out"] = np.full((stops.size, n), np.nan)
+                yield f"{mode}-{n}-{name}", case
+
+
+def test_kernel_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path, sanitized):
+    # advance's stores into out and its reads of every lane tail, checked
+    # against the numpy kernel: free mode bit for bit, coupled to roundoff
+    lib, env = sanitized
+    cases = dict(_advance_cases())
+    paths = {name: str(tmp_path / f"{name}.npz") for name in cases}
+    for name, case in cases.items():
+        np.savez(paths[name], **case)
+    done = subprocess.run([sys.executable, "-c", _ADVANCE_CALLS, lib, *paths.values()],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")[-4000:]
+    for name, case in cases.items():
+        got = np.load(paths[name] + ".out.npz")
+        beta, epsilon, w1, target, _ = case["reals"].tolist()
+        _, run, t0, skewed, coupled = case["ints"].tolist()
+        excess = case["excess"].copy()
+        out = case["out"].copy() if "out" in case else None
+        day, total = -1, 0.0
+        try:
+            _kernels_py.advance(excess, KEY, run, t0, case["stops"][-1] - t0, beta, epsilon,
+                                w1, skewed, coupled, target, case["stops"], out)
+        except NormalizationDegenerate as exc:
+            day, total = exc.t, exc.total
+        assert got["day"] == day, name
+        rtol = 5e-13 if coupled else 0.0
+        np.testing.assert_allclose(got["excess"], excess, rtol=rtol, atol=0.0, err_msg=name)
+        if out is not None:
+            np.testing.assert_allclose(got["out"], out, rtol=rtol, atol=0.0, err_msg=name)
+        if day >= 0:
+            np.testing.assert_allclose(got["bad_total"][0], total, rtol=rtol, atol=0.0)
 
 
 def _band(m=6, p=1, q=1, **kwargs):
@@ -610,6 +704,22 @@ def test_window_counts_put_nan_last_as_searchsorted_does():
         counts = _record(backend.record_rows, case)["counts"]
         below = np.searchsorted(row, edges, side="left")
         assert counts.tolist() == np.diff(below, prepend=0, append=row.size).tolist()
+
+
+def test_snapshot_counts_bin_the_exported_snapshot_less_wp():
+    # 0.1 + 400 - 400 rounds to 0.10000000000002274, where an edge lies: the
+    # snapshot exported less wp sits at the edge, the raw excess below it,
+    # and the window bins the raw excess
+    wp, edges = 400.0, np.array([(0.1 + 400.0) - 400.0, 2.0])
+    assert edges[0] != 0.1
+    case = dict(values=np.array([[0.1, 1.0]]), rows=1, rank_ids=np.array([1, 2]),
+                edges=edges, wp=wp, flags=(np.zeros(1, bool), np.ones(1, bool), np.ones(1, bool)))
+    for backend in backends.BACKENDS.values():
+        out = _record(backend.record_rows, case)
+        assert out["snap_counts"].tolist() == [[0, 2, 0]]
+        assert out["snap_counts"].tolist() == stats.bin_excess(
+            edges, (out["snap_out"] - wp)[:, ::-1]).tolist()
+        assert out["counts"].tolist() == [1, 1, 0]
 
 
 @pytest.mark.parametrize("name", sorted(backends.BACKENDS))

@@ -527,6 +527,27 @@ def test_window_histogram_round_trip(sim_dir):
     assert back.counts.sum() == 4 * 60
 
 
+@pytest.mark.parametrize("extra", ["", "export_snapshots = false\n"],
+                         ids=["both-exports", "histograms-only"])
+def test_snapshot_histograms_bin_each_exported_snapshot_less_wp(tmp_path, extra):
+    cfg = cli.parse_config(BASE + extra)
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, BASE + extra),
+                     "--out", str(out)]) == 0
+    edges = cfg.histogram_edges()
+    for rec in engine.run(cfg, cfg.schedule(), workers=1):
+        _, header, cols = read_table(out / f"hist_run{rec.run_id:02d}.csv")
+        assert header == ["t", "bin_lo", "bin_hi", "count"]
+        n_snaps = len(rec.snapshot_times)
+        np.testing.assert_array_equal(cols["t"], np.repeat(rec.snapshot_times, edges.size + 1))
+        np.testing.assert_array_equal(cols["bin_lo"], np.tile(np.r_[0.0, edges], n_snaps))
+        np.testing.assert_array_equal(cols["bin_hi"], np.tile(np.r_[edges, np.inf], n_snaps))
+        counts = cols["count"].reshape(n_snaps, edges.size + 1)
+        want = stats.bin_excess(edges, (rec.sorted_snapshots - cfg.wp)[:, ::-1])
+        np.testing.assert_array_equal(counts, want)
+        assert (counts.sum(axis=1) == cfg.n_agents).all()
+
+
 def test_read_histogram_rejects_missing_columns(tmp_path):
     bad = tmp_path / "h.csv"
     bad.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -138,6 +138,9 @@ def test_initial_tick_is_uniform_population():
              histogram_window=(-5, 3)),
         dict(snapshot_times=(10,), histogram_edges=(1.0,), histogram_window=(0, 10)),
         dict(snapshot_times=(10,), histogram_edges=(2.0, 1.0), histogram_window=(0, 10)),
+        # without a window the edges still bin every snapshot
+        dict(snapshot_times=(10,), histogram_edges=(1.0,)),
+        dict(snapshot_times=(10,), histogram_edges=(2.0, 1.0)),
     ],
 )
 def test_schedule_validation(kwargs):
@@ -216,6 +219,7 @@ def test_records_do_not_depend_on_the_snapshot_days(monkeypatch, backend, mode, 
     assert t_max == 0 or set(with_snaps.snapshot_times) - set(range(0, t_max + 1, 25))
     without = dataclasses.replace(with_snaps, snapshot_times=())
     n_ticks = t_max // 25 + 1
+    n_bins = len(with_snaps.histogram_edges) + 1
     n_ranks = len(stats.default_ranks(n) if with_snaps.rank_ids is None
                   else with_snaps.rank_ids)
     for a, b in zip(run(params, with_snaps), run(params, without), strict=True):
@@ -223,6 +227,7 @@ def test_records_do_not_depend_on_the_snapshot_days(monkeypatch, backend, mode, 
             assert rec.max_series.shape == rec.gini_series.shape == (n_ticks,)
             assert rec.rank_series.shape == (n_ranks, n_ticks)
             assert rec.sorted_snapshots.shape == (n_snaps, n)
+            assert rec.snapshot_counts.shape == (n_snaps, n_bins)
             assert (rec.histogram is None) == (with_snaps.histogram_window is None)
         for field in ("series_times", "mean_series", "max_series", "gini_series",
                       "rank_ids", "rank_series"):
@@ -322,7 +327,7 @@ def _per_event_record(params, sched, run_id):
     edges = np.asarray(sched.histogram_edges)
     window = sched.histogram_window
     out = {f: [] for f in ("mean_series", "max_series", "gini_series", "rank_series",
-                           "sorted_snapshots")}
+                           "sorted_snapshots", "snapshot_counts")}
     counts = np.zeros(edges.size + 1, dtype=np.int64)
     t_now = 0
     for t in _events(params, sched).tolist():
@@ -342,6 +347,8 @@ def _per_event_record(params, sched, run_id):
                 counts += stats.bin_excess(edges, asc)
         if t in sched.snapshot_times:
             out["sorted_snapshots"].append(desc)
+            # the exported snapshot less wp, binned as hist_run*.csv holds it
+            out["snapshot_counts"].append(stats.bin_excess(edges, (desc - params.wp)[::-1]))
     out = {f: np.array(v) for f, v in out.items()}
     out["rank_series"] = out["rank_series"].T
     return out, counts
