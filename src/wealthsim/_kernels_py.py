@@ -6,12 +6,14 @@ cell-by-cell CSV writer and the block cyclic reduction band solver.
 the same per-element operations in the same order, so they agree
 bit-for-bit on the draws and in free mode. The coupled modes agree to float
 roundoff: numpy sums the renormalizing total pairwise, the C kernel in 16
-compensated lanes. ``write_rows`` writes each cell as ``format_value``
-defines it, the bytes the compiled writer gives too. ``band_solver`` solves
-the band systems that the compiled ``band_lu`` and ``band_solve`` do, to
-roundoff. ``record_rows`` records a run's sorted blocks in stacked numpy
-calls, with the bits of the compiled ``record_rows``; both take the run's
-inputs and return the block and the outputs that ``recording`` allocates.
+lanes, plainly inside each block of 1024 agents and compensated across
+blocks, which bounds its relative error by about 7e-15 at any N.
+``write_rows`` writes each cell as ``format_value`` defines it, the bytes
+the compiled writer gives too. ``band_solver`` solves the band systems that
+the compiled ``band_lu`` and ``band_solve`` do, to roundoff. ``record_rows``
+records a run's sorted blocks in stacked numpy calls, with the bits of the
+compiled ``record_rows``; both take the run's inputs and return the block
+and the outputs that ``recording`` allocates.
 """
 
 from __future__ import annotations

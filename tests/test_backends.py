@@ -2,12 +2,14 @@
 
 Free-mode trajectories must agree bit for bit (no reductions involved).
 Coupled modes renormalize by a population sum that the two kernels
-accumulate in different orders (16 compensated lanes vs numpy pairwise), so
-those trajectories agree to float roundoff rather than exactly.
+accumulate in different orders (numpy pairwise; C in 16 lanes, plain inside
+each 1024-agent block and compensated across blocks), so those trajectories
+agree to float roundoff rather than exactly.
 """
 
 import ctypes
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -71,11 +73,14 @@ def test_skewed_mode_matches_to_roundoff():
 
 
 @needs_both
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 33])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 33, 1023, 1024, 1025, 2065])
 @pytest.mark.parametrize("mode", ["reset", "skewed"])
 def test_coupled_modes_match_to_roundoff_for_any_lane_tail(mode, n):
-    # The C kernel sums the total in 16 lanes: fewer agents than lanes, an
-    # exact multiple of the lane count and remainders must all add up.
+    # The C kernel sums the total in 16 lanes, plainly inside blocks of 1024
+    # agents and compensated across them: fewer agents than lanes, an exact
+    # multiple of the lane count, remainders, a block short of full, one full
+    # block, one and a tail, and a last block of one lane and a tail must all
+    # add up.
     a = _advance("python", np.full(n, 600.0), **MODES[mode])
     b = _advance("c", np.full(n, 600.0), **MODES[mode])
     np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
@@ -97,6 +102,20 @@ def test_every_lane_tail_draws_the_same_stream_at_counter_bounds(mode, n):
         np.testing.assert_array_equal(a, b)
     else:
         np.testing.assert_allclose(a, b, rtol=5e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["reset", "skewed"])
+@pytest.mark.parametrize("name", sorted(backends.BACKENDS))
+def test_one_coupled_day_pins_the_mean_when_a_lane_head_dwarfs_its_tail(name, mode):
+    # Each C lane's first agent holds 1.5 * 2^53, where a double's spacing is
+    # 2, so each later 0.9 it adds is below half of it and rounds away. A lane
+    # summed plainly over all 2^20 agents would drop its whole tail, 4e-12 of
+    # the total; blocked, it drops at most the 63 that share its head's block.
+    x = np.full(2**20, 0.9)
+    x[:16] = 1.5 * 2.0**53
+    target = math.fsum(x)
+    _advance(name, x, days=1, target=target, **MODES[mode])
+    assert abs(math.fsum(x) - target) / target <= 1e-12
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -530,13 +549,13 @@ for path in sys.argv[2:]:
 
 
 def _advance_cases():
-    """(name, case) of every advance call the sanitizer test makes: each mode
-    and lane tail through one stop and many, storing rows or not, and the
-    coupled modes collapsing inside a block (a negative target flips the
-    sign at the rescale that ends day 3, so day 4 returns early)."""
+    """(name, case) of every advance call the sanitizer test makes: each mode,
+    lane tail and block boundary through one stop and many, storing rows or
+    not, and the coupled modes collapsing inside a block (a negative target
+    flips the sign at the rescale that ends day 3, so day 4 returns early)."""
     t0, many = 3, np.array([3, 8, 9, 15])
     for mode, kw in MODES.items():
-        for n in (1, 2, 15, 16, 17, 31, 33):
+        for n in (1, 2, 15, 16, 17, 31, 33, 1023, 1024, 1025, 2065):
             good = 600.0 * n
             calls = [("one", many[-1:], True, good), ("many", many, True, good),
                      ("many-null-out", many, False, good)]
@@ -583,6 +602,78 @@ def test_kernel_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path, 
             np.testing.assert_allclose(got["out"], out, rtol=rtol, atol=0.0, err_msg=name)
         if day >= 0:
             np.testing.assert_allclose(got["bad_total"][0], total, rtol=rtol, atol=0.0)
+
+
+# band_lu factors a malloc'd band of exactly m * (p + q + 1) doubles, and
+# band_solve solves into a malloc'd vector of exactly m, for each case.
+_BAND_CALLS = """
+import ctypes, sys
+import numpy as np
+lib, libc = ctypes.CDLL(sys.argv[1]), ctypes.CDLL(None)
+libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, (ctypes.c_size_t,)
+libc.free.argtypes = (ctypes.c_void_p,)
+lib.band_lu.restype = lib.band_solve.restype = None
+lib.band_lu.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 3)
+lib.band_solve.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 3, ctypes.c_void_p)
+cases, solved = np.load(sys.argv[2]), {}
+for name in cases.files:
+    if not name.startswith("ab"):
+        continue
+    i = name[2:]
+    ab, r, p = cases[name], cases["r" + i], int(cases["p" + i])
+    m, q = ab.shape[0], ab.shape[1] - 1 - p
+    at = {"ab": libc.malloc(ab.nbytes), "x": libc.malloc(r.nbytes)}
+    ctypes.memmove(at["ab"], ab.ctypes.data, ab.nbytes)
+    ctypes.memmove(at["x"], r.ctypes.data, r.nbytes)
+    lib.band_lu(at["ab"], m, p, q)
+    lib.band_solve(at["ab"], m, p, q, at["x"])
+    solved["x" + i] = np.frombuffer(ctypes.string_at(at["x"], r.nbytes))
+    for a in at.values():
+        libc.free(a)
+np.savez(sys.argv[3], **solved)
+"""
+
+
+def _band_case(m, p, q, rng):
+    """(ab, dense, r): a strictly column diagonally dominant m x m band with p
+    sub- and q super-diagonals, as band_lu stores it, NaN where the stored
+    rows reach outside the matrix, the same matrix dense, and a right-hand
+    side."""
+    dense = np.zeros((m, m))
+    for i in range(m):
+        lo, hi = max(0, i - p), min(m, i + q + 1)
+        dense[i, lo:hi] = rng.uniform(-1.0, 1.0, hi - lo)
+    np.fill_diagonal(dense, 0.0)
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=0) + rng.uniform(0.5, 1.5, m))
+    ab = np.full((m, p + q + 1), np.nan)
+    for i in range(m):
+        for j in range(max(0, i - p), min(m, i + q + 1)):
+            ab[i, j - i + p] = dense[i, j]
+    return ab, dense, rng.uniform(-1.0, 1.0, m)
+
+
+def test_band_cases_pass_address_and_undefined_behaviour_sanitizers(tmp_path, sanitized):
+    # every band with m <= 11 and p, q <= 5, so p = 0, q = 0 and bands wider
+    # than the matrix (p + q >= m) among them, against a dense solve; a read
+    # of a stored entry outside the matrix brings in its NaN
+    lib, env = sanitized
+    rng = np.random.default_rng(20261022)
+    cases = {(m, p, q): _band_case(m, p, q, rng)
+             for m in range(1, 12) for p in range(6) for q in range(6)}
+    arrays = {}
+    for (m, p, q), (ab, _, r) in cases.items():
+        name = f"{m}-{p}-{q}"
+        arrays.update({"ab" + name: ab, "r" + name: r, "p" + name: p})
+    path, solved = tmp_path / "bands.npz", tmp_path / "solved.npz"
+    np.savez(path, **arrays)
+    done = subprocess.run([sys.executable, "-c", _BAND_CALLS, lib, str(path), str(solved)],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")[-4000:]
+    got = np.load(solved)
+    for (m, p, q), (_, dense, r) in cases.items():
+        want = np.linalg.solve(dense, r)
+        np.testing.assert_allclose(got[f"x{m}-{p}-{q}"], want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max(), err_msg=(m, p, q))
 
 
 def _band(m=6, p=1, q=1, **kwargs):
